@@ -12,6 +12,15 @@ in a fixed graded-lexicographic monomial order.  Two expressions therefore
 compare equal exactly when they are the same rational function of their
 generators.
 
+The gcd behind every canonical form is the heuristic integer gcd GCDHEU
+(Char, Geddes & Gonnet 1989): it evaluates the integer-coefficient inputs at
+large integers, takes an integer gcd, rebuilds the polynomial from its
+xi-adic digits and keeps it only after exact trial division.  The primitive
+PRS over the rationals is the fallback.  It runs when a size test predicts
+huge evaluated integers, and when GCDHEU fails at all of its evaluation
+points.  Both return the same normalized polynomial, so the choice never
+shows in a canonical form.
+
 Differentiation applies registered rewrite rules on the fly, so derivative
 applications at or above a rule's order never appear in a canonical
 expression.  Rules must strictly lower derivative orders; a depth guard turns
@@ -21,6 +30,7 @@ accidental cross-rule cycles into :class:`~cinfstruct.errors.RewriteError`.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -164,32 +174,9 @@ def _mono_degree(m) -> int:
     return sum(e for _, e in m)
 
 
-def _mono_cmp(m1, m2) -> int:
+def _mono_key(m):
     """Graded lex: total degree first, then exponents along descending gen key."""
-    d1, d2 = _mono_degree(m1), _mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i, j = len(m1) - 1, len(m2) - 1
-    while i >= 0 or j >= 0:
-        if i < 0:
-            return -1
-        if j < 0:
-            return 1
-        g1, e1 = m1[i]
-        g2, e2 = m2[j]
-        if g1.key == g2.key:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i -= 1
-            j -= 1
-        elif g1.key > g2.key:
-            return 1
-        else:
-            return -1
-    return 0
-
-
-_MONO_KEY = functools.cmp_to_key(_mono_cmp)
+    return (sum([e for _, e in m]), [(g.key, e) for g, e in reversed(m)])
 
 
 # --------------------------------------------------------------------------
@@ -246,12 +233,12 @@ class Poly:
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
-        m = max(self.terms, key=_MONO_KEY)
+        m = max(self.terms, key=_mono_key)
         return m, self.terms[m]
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (for printing and keys)."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=_MONO_KEY, reverse=True)]
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=_mono_key, reverse=True)]
 
     def struct_key(self) -> tuple:
         key = self._skey
@@ -320,9 +307,6 @@ class Poly:
             return self
         return Poly({m: q * c for m, q in self.terms.items()})
 
-    def mul_term(self, mono, coeff) -> "Poly":
-        return Poly({_mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
     def pow_int(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power on Poly")
@@ -379,7 +363,9 @@ _POLY_ONE = Poly({_MONO_ONE: Fraction(1)})
 
 
 # --------------------------------------------------------------------------
-# Polynomial gcd (primitive PRS) and exact division.
+# Polynomial gcd and exact division.  poly_gcd tries the heuristic integer
+# gcd (GCDHEU) first and falls back to the primitive PRS when the size test
+# rejects the inputs or every evaluation point fails.
 
 
 def _rat_content(p: Poly) -> Fraction:
@@ -422,18 +408,15 @@ def exact_div(p: Poly, d: Poly) -> Poly:
                 raise ArithmeticError("non-exact polynomial division")
             out[qm] = c / dc
         return Poly(out)
-    lm, lc = d.leading()
-    out = {}
-    r = p
-    while not r.is_zero():
-        rm, rc = r.leading()
-        qm = _mono_div(rm, lm)
-        if qm is None:
-            raise ArithmeticError("non-exact polynomial division")
-        qc = rc / lc
-        out[qm] = qc
-        r = r - d.mul_term(qm, qc)
-    return Poly(out)
+    # Gauss's lemma: a primitive divisor of an integer polynomial leaves an
+    # integer quotient, so the division runs on the primitive parts over Z.
+    pk = _Packing((p, d))
+    cp, pi = pk.pack(p)
+    cd, di = pk.pack(d)
+    q = _zz_quo(pi, di, *_guard_bound(pk.degs, pk.width))
+    if q is None:
+        raise ArithmeticError("non-exact polynomial division")
+    return pk.unpack(q, cp / cd)
 
 
 def _prem(p: Poly, q: Poly, g: Gen) -> Poly:
@@ -527,13 +510,249 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a1 = _shift_out(a, ma)
     b1 = _shift_out(b, mb)
 
-    g = _gcd_deflated(a1, b1)
+    g = _gcd_heuristic(a1, b1)
+    if g is None:
+        g = _gcd_deflated(a1, b1)
     if mc:
         g = Poly({_mono_mul(m, mc): c for m, c in g.terms.items()})
     if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
         _GCD_CACHE.clear()
     _GCD_CACHE[ckey] = g
     return g
+
+
+# GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989).  The inputs
+# are evaluated at the largest generator, v = xi, recursively down to two
+# integers whose gcd is the image of the polynomial gcd; the candidate is
+# rebuilt from its symmetric xi-adic digits.  With xi > 1 + 2*min(|f|, |g|)
+# (max-norms of the integer coefficients at that level) a candidate that
+# divides both inputs exactly over Z is their gcd, so the result is the same
+# polynomial the PRS returns.
+
+_HEU_TRIES = 6  # evaluation points per level, as in CGG
+# Size test: the product over generators of (degree + 1) predicts the length
+# of the evaluated integers.  Above this bound the PRS runs instead.  Timed
+# on the gcds of the benchmark's pushed-pipeline and factor-queries rounds,
+# GCDHEU was faster on sizes up to 62 500 and the PRS 10-30 times faster on
+# sizes of 117 649 and more (e.g. 680 against 210 terms in 8 generators).
+_HEU_MAX_SIZE = 65536
+
+
+class _Packing:
+    """Integer polynomials with each monomial packed into one int.
+
+    One field of `width` bits per generator, the largest generator in the
+    most significant field, so integer order is lex order.  The top bit of
+    every field is a guard: a componentwise difference borrows exactly when a
+    guard bit clears.  A field holds twice the largest degree, room for the
+    product of a quotient term within the degree bounds and a divisor term.
+    """
+
+    __slots__ = ("gens", "degs", "width", "shift")
+
+    def __init__(self, polys):
+        deg: dict = {}
+        for p in polys:
+            for m in p.terms:
+                for g, e in m:
+                    if e > deg.get(g, 0):
+                        deg[g] = e
+        self.gens = sorted(deg, reverse=True)
+        self.degs = tuple(deg[g] for g in self.gens)
+        self.width = (2 * max(self.degs, default=0)).bit_length() + 1
+        n = len(self.gens)
+        self.shift = {g: self.width * (n - 1 - i) for i, g in enumerate(self.gens)}
+
+    def pack(self, p: Poly):
+        """(content, primitive packed integer part) with p = content * part."""
+        num, den = 0, 1
+        for c in p.terms.values():
+            num = math.gcd(num, c.numerator)
+            den = math.lcm(den, c.denominator)
+        shift = self.shift
+        return Fraction(num, den), {
+            sum(e << shift[g] for g, e in m): c.numerator * (den // c.denominator) // num
+            for m, c in p.terms.items()
+        }
+
+    def unpack(self, f: dict, scale=1) -> Poly:
+        field = (1 << self.width) - 1
+        ascending = [(g, self.shift[g]) for g in reversed(self.gens)]
+        out = {}
+        for key, c in f.items():
+            m = []
+            for g, sh in ascending:
+                e = (key >> sh) & field
+                if e:
+                    m.append((g, e))
+            out[tuple(m)] = Fraction(c) * scale
+        return Poly(out)
+
+
+def _guard_bound(degs: tuple, width: int):
+    """Guard bits and packed degree bounds for fields holding degs."""
+    guard = 0
+    bound = 0
+    for k, d in enumerate(reversed(degs)):
+        guard |= 1 << (width * (k + 1) - 1)
+        bound |= d << (width * k)
+    return guard, bound
+
+
+def _gcd_heuristic(a: Poly, b: Poly) -> Optional[Poly]:
+    """GCDHEU of two primitive polys with no monomial content, or None."""
+    if a.is_const() or b.is_const():
+        return _POLY_ONE
+    if a.terms == b.terms:
+        return a
+    pk = _Packing((a, b))
+    if math.prod(d + 1 for d in pk.degs) > _HEU_MAX_SIZE:
+        return None
+    got = _heu(pk.pack(a)[1], pk.pack(b)[1], pk.degs, pk.width)
+    if got is None:
+        return None
+    return _normalize_primitive(pk.unpack(got[0]))
+
+
+def _heu(f: dict, g: dict, degs: tuple, width: int):
+    """(h, f/h, g/h) with h = gcd(f, g) over Z, or None when GCDHEU fails.
+
+    f and g are packed polynomials in len(degs) generators, degs[0] the
+    degree bound of the one in the most significant field.
+    """
+    n = len(degs)
+    if n == 0:
+        a, b = f[0], g[0]
+        h = math.gcd(a, b)
+        return {0: h}, {0: a // h}, {0: b // h}
+    cont = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
+    if cont != 1:
+        f = {m: c // cont for m, c in f.items()}
+        g = {m: c // cont for m, c in g.items()}
+    guard, bound = _guard_bound(degs, width)
+    quo = functools.partial(_zz_quo, guard=guard, bound=bound)
+    top = width * (n - 1)
+    # The bound plus a margin: a larger first point is more often lucky.
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        fe = _heu_eval(f, xi, top)
+        ge = _heu_eval(g, xi, top)
+        if fe and ge:
+            sub = _heu(fe, ge, degs[1:], width)
+            if sub is None:
+                return None
+            he, cfe, cge = sub
+            h = _heu_interp(he, xi, top, degs[0])
+            if h is not None:
+                c = math.gcd(*h.values())
+                if c != 1:
+                    h = {m: v // c for m, v in h.items()}
+                cff = quo(f, h)
+                if cff is not None:
+                    cfg = quo(g, h)
+                    if cfg is not None:
+                        return _heu_scale(h, cont), cff, cfg
+            # The cofactors are images too: rebuild one and divide by it.
+            cff = _heu_interp(cfe, xi, top, degs[0])
+            if cff is not None:
+                h = quo(f, cff)
+                if h is not None:
+                    cfg = quo(g, h)
+                    if cfg is not None:
+                        return _heu_scale(h, cont), cff, cfg
+            cfg = _heu_interp(cge, xi, top, degs[0])
+            if cfg is not None:
+                h = quo(g, cfg)
+                if h is not None:
+                    cff = quo(f, h)
+                    if cff is not None:
+                        return _heu_scale(h, cont), cff, cfg
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _heu_scale(h: dict, c: int) -> dict:
+    return h if c == 1 else {m: v * c for m, v in h.items()}
+
+
+def _heu_eval(f: dict, xi: int, top: int) -> dict:
+    """f with its most significant generator (field at bit `top`) set to xi."""
+    powers = [1]
+    out: dict = {}
+    low = (1 << top) - 1
+    for m, c in f.items():
+        e = m >> top
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        rest = m & low
+        out[rest] = out.get(rest, 0) + c * powers[e]
+    return {m: c for m, c in out.items() if c}
+
+
+def _heu_interp(h: dict, xi: int, top: int, dmax: int) -> Optional[dict]:
+    """Rebuild a polynomial in one more generator from symmetric xi-adic digits."""
+    half = xi // 2
+    out = {}
+    for m, c in h.items():
+        e = 0
+        while c:
+            c, r = divmod(c, xi)
+            if r > half:
+                r -= xi
+                c += 1
+            if r:
+                if e > dmax:
+                    return None
+                out[m | (e << top)] = r
+            e += 1
+    return out
+
+
+def _zz_quo(f: dict, h: dict, guard: int, bound: int) -> Optional[dict]:
+    """f/h over Z for packed polynomials, or None when h does not divide f.
+
+    Every quotient monomial must lie within the degree bound, which keeps
+    every monomial formed inside its fields.
+    """
+    hs = sum(h.values())
+    if hs and sum(f.values()) % hs:
+        return None
+    hm = max(h)
+    hc = h[hm]
+    rest = [(m, c) for m, c in h.items() if m != hm]
+    limit = bound | guard
+    r = dict(f)
+    heap = [-m for m in r]
+    heapq.heapify(heap)
+    q = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = r.pop(m, 0)
+        if not c:
+            continue
+        t = (m | guard) - hm
+        if t & guard != guard:
+            return None
+        qm = t ^ guard
+        if (limit - qm) & guard != guard:
+            return None
+        qc, rem = divmod(c, hc)
+        if rem:
+            return None
+        q[qm] = qc
+        for tm, tc in rest:
+            k = qm + tm
+            v = r.get(k)
+            if v is None:
+                r[k] = -qc * tc
+                heapq.heappush(heap, -k)
+            else:
+                v -= qc * tc
+                if v:
+                    r[k] = v
+                else:
+                    del r[k]
+    return q
 
 
 def _gcd_deflated(a: Poly, b: Poly) -> Poly:

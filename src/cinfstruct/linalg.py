@@ -14,15 +14,27 @@ from typing import Optional, Sequence
 
 from .errors import InconsistentSystemError, RankDeficientError
 from .kernel import ZERO, Expression
-from .zerotest import DEFAULT_POLICY, Point, ZeroTestPolicy, is_zero
+from .zerotest import (
+    DEFAULT_POLICY,
+    Certainty,
+    Point,
+    ZeroTestPolicy,
+    ZeroTestResult,
+    is_zero,
+)
 
 __all__ = ["LinearSolution", "solve_linear", "rank_certified", "det"]
+
+
+_PROVED = ZeroTestResult(Certainty.PROVED_ZERO, 1.0)
 
 
 @dataclass(frozen=True)
 class LinearSolution:
     values: tuple[Expression, ...]
     pivots: tuple[Expression, ...]
+    # The weakest of the residual zero tests: proved unless one was sampled.
+    residual: ZeroTestResult
 
 
 def _pick_pivot(rows, row_ids, col, policy) -> Optional[int]:
@@ -55,7 +67,8 @@ def solve_linear(
 
     Raises InconsistentSystemError (with a witness point on the residual) when
     no solution exists and RankDeficientError when the solution would not be
-    unique.
+    unique.  The solution carries the weakest residual zero test, so a
+    consistency shown only by sampling is not reported as proved.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
@@ -77,6 +90,7 @@ def solve_linear(
                 continue
             scale = factor / p
             rows[rj] = [a - scale * b for a, b in zip(rows[rj], rows[ri])]
+    weakest = _PROVED
     for rj in remaining:
         residual = rows[rj][ncols]
         if residual.is_zero_expr():
@@ -86,6 +100,8 @@ def solve_linear(
             raise InconsistentSystemError(
                 "linear system is inconsistent", witness=zt.witness, residual=residual
             )
+        if weakest is _PROVED or zt.confidence < weakest.confidence:
+            weakest = zt
     if len(pivots) < ncols:
         raise RankDeficientError(
             "linear system does not determine a unique solution (rank %d of %d)"
@@ -100,7 +116,7 @@ def solve_linear(
             if not entry.is_zero_expr():
                 acc = acc - entry * values[c2]
         values[col] = acc / rows[ri][col]
-    return LinearSolution(tuple(values), tuple(pivots))
+    return LinearSolution(tuple(values), tuple(pivots), weakest)
 
 
 def rank_certified(

@@ -115,6 +115,8 @@ class Decomposition:
     coefficients: tuple[Expression, ...]
     basis_names: tuple[str, ...]
     pivots: tuple[Expression, ...]
+    # How the field's membership in the span was shown (see solve_linear).
+    residual: ZeroTestResult
 
     def coefficient(self, name: str) -> Expression:
         return self.coefficients[self.basis_names.index(name)]
@@ -149,7 +151,7 @@ def decompose_in_span(
     rhs = list(field.components)
     sol = linalg.solve_linear(matrix, rhs, policy)
     names = tuple(_label(b, "B%d" % (i + 1)) for i, b in enumerate(basis))
-    return Decomposition(sol.values, names, sol.pivots)
+    return Decomposition(sol.values, names, sol.pivots, sol.residual)
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def check_involutive(
                 items.append(CheckItem(label, res, expect_zero=True))
                 records.append(BracketRecord(names[i], names[j], None))
                 continue
-            items.append(CheckItem(label, ZeroTestResult(Certainty.PROVED_ZERO, 1.0)))
+            items.append(CheckItem(label, dec.residual))
             loci.extend(dec.pivots)
             records.append(BracketRecord(names[i], names[j], dec))
             table["[%s, %s]" % (names[i], names[j])] = dec.as_json()
@@ -252,7 +254,7 @@ def check_cinf_symmetry(
             coeffs.append(tuple(kernel.ZERO for _ in members))
             ok_overall = False
             continue
-        items.append(CheckItem(label, ZeroTestResult(Certainty.PROVED_ZERO, 1.0)))
+        items.append(CheckItem(label, dec.residual))
         lambdas.append(dec.coefficients[-1])
         coeffs.append(dec.coefficients[:-1])
         loci.extend(dec.pivots)

@@ -24,6 +24,7 @@ from cinfstruct.factors import (
     integrating_to_factor,
     primitive_by_quadrature,
 )
+from cinfstruct.zerotest import Certainty
 
 import helpers
 
@@ -154,6 +155,17 @@ def test_primitive_by_quadrature_flags_a_non_closed_form():
     res = primitive_by_quadrature(form)
     assert not res.ok
     assert any(it.label == "the form is closed" and not it.ok for it in res.certificate.items)
+
+
+def test_primitive_by_quadrature_fails_when_no_spot_check_evaluates():
+    # ln(x - 5) has no real value near the base point, so every spot check
+    # raises; zero evidence must not pass as a proved gradient match.
+    ch = Chart("P", ("x", "u"))
+    res = primitive_by_quadrature(d_of_function(ch, ch.parse("x*ln(x - 5)")))
+    assert not res.ok
+    (grad,) = [it for it in res.certificate.items if it.label.startswith("gradient of F")]
+    assert not grad.ok
+    assert grad.result.certainty is not Certainty.PROVED_ZERO
 
 
 def test_primitive_by_quadrature_rejects_wrong_shapes():

@@ -21,8 +21,23 @@ from cinfstruct.structures import (
     normalize_dual,
     rescale_symmetry,
 )
+from cinfstruct.zerotest import Certainty
 
 import helpers
+
+
+def test_sampled_span_membership_is_not_labeled_proved():
+    # exp(2x) - exp(x)^2 vanishes, but only sampling shows it: the bracket
+    # lies in the span by a sampled residual test, not a proved one.
+    ch = Chart("M", ("x", "y", "z"))
+    Z1 = helpers.field(ch, "Z1", 1, 0, 0)
+    Z2 = helpers.field(ch, "Z2", 0, 1, "exp(2*x) - exp(x)^2")
+    cert, _records = check_involutive(Distribution(ch, (Z1, Z2)))
+    (item,) = cert.items
+    assert item.label == "[Z1, Z2] in span"
+    assert item.ok
+    assert item.result.certainty is Certainty.PROBABLY_ZERO
+    assert item.result.samples_used > 0
 
 
 def test_involutivity_records_the_structure_constants(dim4):
