@@ -68,9 +68,6 @@ class VectorField:
         h = self.chart.coerce(h)
         return VectorField(self.chart, tuple(h * c for c in self.components), name)
 
-    def is_zero_field(self) -> bool:
-        return all(c.is_zero_expr() for c in self.components)
-
     def __repr__(self):
         body = ", ".join(syntax.format_expression(c) for c in self.components)
         return "%s[%s]" % (self.name or "Field", body)
@@ -171,9 +168,6 @@ class KForm:
 
     def is_zero_form(self) -> bool:
         return not self.coeffs
-
-    def map_coeffs(self, fn) -> "KForm":
-        return KForm.make(self.chart, self.degree, {i: fn(c) for i, c in self.coeffs})
 
     def __add__(self, other: "KForm") -> "KForm":
         _same_chart(self, other)

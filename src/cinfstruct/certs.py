@@ -85,11 +85,18 @@ def fmt_loci(exprs: Sequence[Expression]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def bundle(kind: str, items: Sequence[CheckItem], loci: Sequence[Expression] = (), **payload) -> Certificate:
+def bundle(
+    kind: str,
+    items: Sequence[CheckItem],
+    loci: Sequence[Expression] = (),
+    ok: bool = True,
+    **payload,
+) -> Certificate:
+    """A certificate that is ok when `ok` holds and every item passes."""
     items = tuple(items)
     return Certificate(
         kind=kind,
-        ok=all(it.ok for it in items),
+        ok=ok and all(it.ok for it in items),
         items=items,
         loci=fmt_loci(loci),
         payload=tuple(sorted(payload.items())),

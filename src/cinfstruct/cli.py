@@ -47,9 +47,9 @@ from .factors import (
 from .reduction import (
     build_solvable_structure,
     derive_factors,
-    descend,
     final_report,
     init_reduction,
+    run_reduction,
 )
 from .scenario import Scenario, load_scenario
 from .structures import check_cinf_structure, check_independent, check_involutive, dual_one_forms
@@ -113,10 +113,6 @@ def _cert_lines(cert) -> list[str]:
     return lines
 
 
-def _emit(out: list[str], line: str = "") -> None:
-    out.append(line)
-
-
 def _write_report(path: Optional[str], doc: dict) -> None:
     if not path:
         return
@@ -164,46 +160,25 @@ def _cmd_check(scn: Scenario, what: str, policy) -> tuple[int, list[str], dict]:
     return (0 if cert.ok else 1), lines, doc
 
 
-def _run_pipeline(scn: Scenario, policy):
-    """init + scripted descents; raises CertificationError on the first failure."""
-    if not scn.reduction:
+def _start_pipeline(scn: Scenario, policy):
+    """The scenario's step specs and a reduction state opened with `policy`."""
+    specs = scn.step_specs()
+    if not specs:
         raise ScenarioError("the scenario has no reduction script")
-    state = init_reduction(scn.distribution, scn.structure_fields, policy)
-    for spec in scn.step_specs():
-        descend(
-            state,
-            spec.integral,
-            spec.constant,
-            spec.solve_for,
-            spec.solution,
-            add_rules=spec.add_rules,
-            policy=policy,
-        )
-    return state
+    return init_reduction(scn.distribution, scn.structure_fields, policy), specs
 
 
 def _cmd_reduce(scn: Scenario, policy) -> tuple[int, list[str], dict]:
     lines: list[str] = []
     doc: dict = {"command": "reduce"}
-    specs = scn.step_specs()
-    if not specs:
-        raise ScenarioError("the scenario has no reduction script")
-    state = init_reduction(scn.distribution, scn.structure_fields, policy)
+    state, specs = _start_pipeline(scn, policy)
     failure = None
-    for spec in specs:
-        try:
-            step = descend(
-                state,
-                spec.integral,
-                spec.constant,
-                spec.solve_for,
-                spec.solution,
-                add_rules=spec.add_rules,
-                policy=policy,
-            )
-        except CertificationError as exc:
-            failure = exc
-            break
+    try:
+        run_reduction(state, specs)
+    except CertificationError as exc:
+        failure = exc
+    # descend records a step only when it succeeds.
+    for step, spec in zip(state.steps, specs):
         lines.append(
             "level %d: I = %s, constant %s, solved %s  ->  ok"
             % (step.level, spec.integral, spec.constant, spec.solve_for)
@@ -239,7 +214,8 @@ def _cmd_reduce(scn: Scenario, policy) -> tuple[int, list[str], dict]:
 def _cmd_factors(scn: Scenario, policy, emit_solvable: bool) -> tuple[int, list[str], dict]:
     lines: list[str] = []
     doc: dict = {"command": "factors"}
-    state = _run_pipeline(scn, policy)
+    state, specs = _start_pipeline(scn, policy)
+    run_reduction(state, specs)
     if not state.complete:
         raise ScenarioError("the reduction script does not reach level 1")
     entries = derive_factors(state, policy)

@@ -52,8 +52,6 @@ __all__ = [
     "differentiate",
     "substitute",
     "ELEMENTARY_FUNCTIONS",
-    "rewrite_step_count",
-    "reset_rewrite_step_count",
 ]
 
 ELEMENTARY_FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
@@ -897,9 +895,6 @@ class Expression:
 
     # -- structure ------------------------------------------------------------
 
-    def top_gens(self) -> set:
-        return self.num.gens() | self.den.gens()
-
     def atoms(self) -> set:
         """All generators, descending through application arguments."""
         seen: set = set()
@@ -1064,18 +1059,8 @@ class RewriteRule:
 
 Rules = Sequence[RewriteRule]
 
-_rewrite_steps = 0
 _expansion_depth = 0
 _MAX_EXPANSION_DEPTH = 200
-
-
-def rewrite_step_count() -> int:
-    return _rewrite_steps
-
-
-def reset_rewrite_step_count() -> None:
-    global _rewrite_steps
-    _rewrite_steps = 0
 
 
 def _rule_for(rules: Rules, name: str) -> Optional[RewriteRule]:
@@ -1101,7 +1086,7 @@ def _expanded_rhs_cached(rules_t: tuple, func: str, order: int) -> Expression:
 
 def app(name: str, args, orders, rules: Rules = ()) -> Expression:
     """Abstract application with rewrite rules applied to closure."""
-    global _rewrite_steps, _expansion_depth
+    global _expansion_depth
     args = tuple(args)
     orders = tuple(int(k) for k in orders)
     rules_t = tuple(rules)
@@ -1110,7 +1095,6 @@ def app(name: str, args, orders, rules: Rules = ()) -> Expression:
         if rule is not None and orders[0] >= rule.order:
             if _expansion_depth >= _MAX_EXPANSION_DEPTH:
                 raise RewriteError("rewrite expansion did not terminate (cycle?)")
-            _rewrite_steps += 1
             _expansion_depth += 1
             try:
                 body = _expanded_rhs_cached(rules_t, name, orders[0])

@@ -9,7 +9,9 @@ singular loci of the computation and are reported with every result.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 from .errors import InconsistentSystemError, RankDeficientError
@@ -17,7 +19,6 @@ from .kernel import ZERO, Expression
 from .zerotest import (
     DEFAULT_POLICY,
     Certainty,
-    Point,
     ZeroTestPolicy,
     ZeroTestResult,
     is_zero,
@@ -58,6 +59,33 @@ def _pick_pivot(rows, row_ids, col, policy) -> Optional[int]:
     return best
 
 
+def _eliminate(rows, ncols, policy) -> tuple[list[tuple[int, int]], list[int]]:
+    """Eliminate columns 0..ncols-1 in place, stopping once no rows remain.
+
+    Rows may be wider than ncols (an augmented right-hand side is carried
+    along).  Returns the (row index, column) of each pivot in order, and the
+    indices of the rows that took no pivot.
+    """
+    remaining = list(range(len(rows)))
+    where: list[tuple[int, int]] = []
+    for col in range(ncols):
+        if not remaining:
+            break
+        pos = _pick_pivot(rows, remaining, col, policy)
+        if pos is None:
+            continue
+        ri = remaining.pop(pos)
+        where.append((ri, col))
+        p = rows[ri][col]
+        for rj in remaining:
+            factor = rows[rj][col]
+            if factor.is_zero_expr():
+                continue
+            scale = factor / p
+            rows[rj] = [a - scale * b for a, b in zip(rows[rj], rows[ri])]
+    return where, remaining
+
+
 def solve_linear(
     matrix: Sequence[Sequence[Expression]],
     rhs: Sequence[Expression],
@@ -70,26 +98,9 @@ def solve_linear(
     unique.  The solution carries the weakest residual zero test, so a
     consistency shown only by sampling is not reported as proved.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    ncols = len(matrix[0]) if matrix else 0
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    remaining = list(range(nrows))
-    pivots: list[Expression] = []
-    where: list[tuple[int, int]] = []  # (row index, column) of each pivot
-    for col in range(ncols):
-        pos = _pick_pivot(rows, remaining, col, policy)
-        if pos is None:
-            continue
-        ri = remaining.pop(pos)
-        p = rows[ri][col]
-        pivots.append(p)
-        where.append((ri, col))
-        for rj in remaining:
-            factor = rows[rj][col]
-            if factor.is_zero_expr():
-                continue
-            scale = factor / p
-            rows[rj] = [a - scale * b for a, b in zip(rows[rj], rows[ri])]
+    where, remaining = _eliminate(rows, ncols, policy)
     weakest = _PROVED
     for rj in remaining:
         residual = rows[rj][ncols]
@@ -102,10 +113,10 @@ def solve_linear(
             )
         if weakest is _PROVED or zt.confidence < weakest.confidence:
             weakest = zt
-    if len(pivots) < ncols:
+    if len(where) < ncols:
         raise RankDeficientError(
             "linear system does not determine a unique solution (rank %d of %d)"
-            % (len(pivots), ncols)
+            % (len(where), ncols)
         )
     # Back substitution in reverse pivot order.
     values: list[Expression] = [ZERO] * ncols
@@ -116,48 +127,26 @@ def solve_linear(
             if not entry.is_zero_expr():
                 acc = acc - entry * values[c2]
         values[col] = acc / rows[ri][col]
-    return LinearSolution(tuple(values), tuple(pivots), weakest)
+    pivots = tuple(rows[ri][col] for ri, col in where)
+    return LinearSolution(tuple(values), pivots, weakest)
 
 
 def rank_certified(
     matrix: Sequence[Sequence[Expression]],
     policy: ZeroTestPolicy = DEFAULT_POLICY,
-) -> tuple[int, tuple[Expression, ...], Optional[Point]]:
-    """Generic rank with pivot loci and a sample point where all pivots live.
+) -> tuple[int, tuple[Expression, ...], Optional[ZeroTestResult]]:
+    """Generic rank, the pivot loci, and the zero test of the pivot product.
 
     The rank is the generic one: it holds off the vanishing locus of the
-    returned pivots.  The witness point (if found) makes every pivot nonzero
-    simultaneously.
+    returned pivots.  The zero test of their product (None when there are no
+    pivots) carries, when it found one, a witness point that makes every
+    pivot nonzero simultaneously.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
     rows = [list(r) for r in matrix]
-    remaining = list(range(nrows))
-    pivots: list[Expression] = []
-    for col in range(ncols):
-        pos = _pick_pivot(rows, remaining, col, policy)
-        if pos is None:
-            continue
-        ri = remaining.pop(pos)
-        p = rows[ri][col]
-        pivots.append(p)
-        for rj in remaining:
-            factor = rows[rj][col]
-            if factor.is_zero_expr():
-                continue
-            scale = factor / p
-            rows[rj] = [a - scale * b for a, b in zip(rows[rj], rows[ri])]
-        if not remaining:
-            break
-    witness = None
-    product = None
-    for p in pivots:
-        product = p if product is None else product * p
-    if product is not None:
-        zt = is_zero(product, policy)
-        if not zt.certainty.is_zero:
-            witness = zt.witness
-    return len(pivots), tuple(pivots), witness
+    where, _remaining = _eliminate(rows, len(rows[0]) if rows else 0, policy)
+    pivots = tuple(rows[ri][col] for ri, col in where)
+    product_test = is_zero(reduce(operator.mul, pivots), policy) if pivots else None
+    return len(pivots), pivots, product_test
 
 
 def det(matrix: Sequence[Sequence[Expression]]) -> Expression:

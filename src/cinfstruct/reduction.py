@@ -706,12 +706,11 @@ def build_solvable_structure(
                 )
             )
     base = rebuilt.certificate()
-    ok = base.ok and all(it.ok for it in items)
     cert = bundle(
         "solvable-structure",
         items,
+        ok=base.ok,
         structure=base.as_json(),
         factors=[syntax.format_expression(f) for f in fs],
     )
-    cert = Certificate(cert.kind, ok, cert.items, cert.loci, cert.payload)
     return rebuilt, cert

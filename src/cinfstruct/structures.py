@@ -91,21 +91,14 @@ def check_independent(
     loci, and the witness point (in the payload) makes all pivots nonzero.
     """
     matrix = [list(f.components) for f in fields]
-    rank, pivots, witness = linalg.rank_certified(matrix, policy)
-    ok = rank == len(fields)
+    rank, pivots, product_test = linalg.rank_certified(matrix, policy)
     items = []
-    if pivots:
-        product = None
-        for p in pivots:
-            product = p if product is None else product * p
-        items.append(
-            CheckItem("pivot product is nonzero", is_zero(product, policy), expect_zero=False)
-        )
-    payload = {"rank": rank, "fields": len(list(fields))}
-    if witness is not None:
-        payload["witness_point"] = witness.as_json()
-    cert = bundle("independence", items, loci=pivots, **payload)
-    return Certificate(cert.kind, ok and cert.ok, cert.items, cert.loci, cert.payload)
+    payload = {"rank": rank, "fields": len(matrix)}
+    if product_test is not None:
+        items.append(CheckItem("pivot product is nonzero", product_test, expect_zero=False))
+        if product_test.witness is not None:
+            payload["witness_point"] = product_test.witness.as_json()
+    return bundle("independence", items, loci=pivots, ok=rank == len(matrix), **payload)
 
 
 @dataclass(frozen=True)
@@ -199,6 +192,8 @@ class SymmetryResult:
     lambdas: tuple[Expression, ...]          # coefficient of the field itself
     coefficients: tuple[tuple[Expression, ...], ...]  # span part per member
     certificate: Certificate
+    # Independence of (members..., field), also in the certificate payload.
+    independence: Certificate
 
     @property
     def ok(self) -> bool:
@@ -234,7 +229,6 @@ def check_cinf_symmetry(
     lambdas = []
     coeffs = []
     loci: list[Expression] = []
-    ok_overall = indep.ok
     for k, V in enumerate(members):
         vname = _label(V, "V%d" % (k + 1))
         br = lie_bracket(field, V)
@@ -252,7 +246,6 @@ def check_cinf_symmetry(
             )
             lambdas.append(kernel.ZERO)
             coeffs.append(tuple(kernel.ZERO for _ in members))
-            ok_overall = False
             continue
         items.append(CheckItem(label, dec.residual))
         lambdas.append(dec.coefficients[-1])
@@ -262,11 +255,11 @@ def check_cinf_symmetry(
         "cinf-symmetry",
         items,
         loci=loci,
+        ok=indep.ok,
         field=fname,
         independence=indep.as_json(),
     )
-    cert = Certificate(cert.kind, cert.ok and ok_overall, cert.items, cert.loci, cert.payload)
-    return SymmetryResult(field, members, tuple(lambdas), tuple(coeffs), cert)
+    return SymmetryResult(field, members, tuple(lambdas), tuple(coeffs), cert, indep)
 
 
 @dataclass(frozen=True)
@@ -337,7 +330,8 @@ def check_cinf_structure(
     """Certify an ordered family as a structure over the distribution.
 
     Level k checks X_k against members {generators, X_1..X_{k-1}}; the full
-    family {generators, X_1..X_{n-r}} must have rank n on the chart.
+    family {generators, X_1..X_{n-r}} must have rank n on the chart.  The last
+    level already certifies the independence of exactly that family.
     """
     fields = tuple(fields)
     chart = dist.chart
@@ -346,12 +340,15 @@ def check_cinf_structure(
             "structure needs %d fields on top of rank %d in dimension %d"
             % (chart.dim - dist.rank, dist.rank, chart.dim)
         )
-    indep = check_independent(chart, list(dist.generators) + list(fields), policy)
     invol, _records = check_involutive(dist, policy)
     levels = []
     for k in range(1, len(fields) + 1):
         members = tuple(dist.generators) + tuple(fields[: k - 1])
         levels.append(check_cinf_symmetry(members, fields[k - 1], policy))
+    if levels:
+        indep = levels[-1].independence
+    else:
+        indep = check_independent(chart, dist.generators, policy)
     return CinfStructure(dist, fields, tuple(levels), indep, invol)
 
 
@@ -559,7 +556,7 @@ def rescale_symmetry(
                     is_zero(a - b, policy),
                 )
             )
-    cert = bundle("rescale-symmetry", items, loci=[h], direct=direct.certificate.as_json())
-    ok = cert.ok and direct.ok
-    cert = Certificate(cert.kind, ok, cert.items, cert.loci, cert.payload)
+    cert = bundle(
+        "rescale-symmetry", items, loci=[h], ok=direct.ok, direct=direct.certificate.as_json()
+    )
     return RescaleResult(Y, tuple(lam_pred), tuple(coef_pred), cert)

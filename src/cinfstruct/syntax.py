@@ -94,12 +94,6 @@ class _Parser:
                 "expected %r at position %d in %r" % (value, at, self.text)
             )
 
-    def fail(self, msg):
-        _, val, at = self.peek()
-        raise ExpressionSyntaxError(
-            "%s at position %d (near %r) in %r" % (msg, at, val, self.text)
-        )
-
     # grammar ---------------------------------------------------------------
 
     def parse_expr(self) -> Expression:

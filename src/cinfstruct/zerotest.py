@@ -298,8 +298,10 @@ def is_zero(e: Expression, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroTestR
                     witness_value=mpmath.nstr(value, 17),
                     samples_used=used,
                 )
-    # Every sample vanished.  For exact rational functions the canonical form
-    # is nonzero, so this is astronomically unlikely; report honestly anyway.
+    if exact:
+        # Every draw hit the zero set, but a canonical form that is not ZERO
+        # is a nonzero rational function: proved, only without a witness.
+        return ZeroTestResult(Certainty.PROVED_NONZERO, 1.0, samples_used=used)
     return ZeroTestResult(
         Certainty.PROBABLY_ZERO, _confidence(e, used), samples_used=used
     )

@@ -87,6 +87,25 @@ def test_reduce_truncated_script_fails(tmp_path, capsys):
     assert "incomplete: 1 level(s) remain" in out
 
 
+def test_reduce_reports_the_steps_before_a_failed_step(tmp_path, capsys):
+    doc = load_example_doc()
+    # Z2 = d/dx1 + ... moves x1, so adding x1 spoils the level-1 integral.
+    doc["reduction"][1]["integral"] = "(1 + x3*(C2 - x1))/(x2*x3) + x1"
+    path = write_scenario(tmp_path, doc)
+    report = tmp_path / "reduce.json"
+    assert main(["reduce", path, "--report", str(report)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("level 2: I = x1 + x4/(x2 - x3*x4), constant C2")
+    assert lines[0].endswith("->  ok")
+    assert lines[1] == "step failed: not a certified first integral at level 1"
+    assert not any(line.startswith("level 1:") for line in lines)
+    data = json.loads(report.read_text())
+    assert data["ok"] is False and data["complete"] is False
+    assert len(data["steps"]) == 1
+    assert data["failure"]["kind"] == "first-integral"
+    assert data["failure"]["ok"] is False
+
+
 def test_reduce_without_a_script_is_an_input_error(tmp_path, capsys):
     doc = load_example_doc()
     del doc["reduction"]

@@ -5,10 +5,13 @@ components; the dual-form coefficients were checked against cofactor
 determinants independently of the contraction code.
 """
 
+from pathlib import Path
+
 import pytest
 
 from cinfstruct import kernel
 from cinfstruct.calculus import VectorField
+from cinfstruct.certs import CheckItem, bundle
 from cinfstruct.charts import Chart
 from cinfstruct.errors import CertificationError, ChartError
 from cinfstruct.structures import (
@@ -21,9 +24,12 @@ from cinfstruct.structures import (
     normalize_dual,
     rescale_symmetry,
 )
-from cinfstruct.zerotest import Certainty
+from cinfstruct.scenario import load_scenario
+from cinfstruct.zerotest import Certainty, ZeroTestResult
 
 import helpers
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_sampled_span_membership_is_not_labeled_proved():
@@ -71,6 +77,27 @@ def test_independence_certificate_carries_the_rank(dim4):
     dep = check_independent(dim4.chart, [X1, doubled])
     assert not dep.ok
     assert dict(dep.payload)["rank"] == 1
+
+
+@pytest.mark.parametrize("name", ["example31.json", "airy.json"])
+def test_structure_independence_is_that_of_the_full_frame(name):
+    sc = load_scenario(SCENARIOS / name)
+    frame = list(sc.generators) + list(sc.structure_fields)
+    direct = check_independent(sc.chart, frame).as_json()
+    structure = check_cinf_structure(sc.distribution, sc.structure_fields)
+    assert structure.independence.as_json() == direct
+    # With no fields on top, the generators alone make the frame.
+    full = check_cinf_structure(Distribution(sc.chart, tuple(frame)), ())
+    assert full.independence.as_json() == direct
+
+
+def test_bundle_ands_its_ok_with_the_items():
+    passing = CheckItem("passes", ZeroTestResult(Certainty.PROVED_ZERO, 1.0))
+    assert passing.ok
+    cert = bundle("demo", [passing], ok=False, note="x")
+    assert cert.ok is False
+    assert cert.as_json()["ok"] is False
+    assert bundle("demo", [passing]).ok is True
 
 
 def test_level_one_brackets(dim4):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cinfstruct.certs import CheckItem
 from cinfstruct.charts import Chart, parse_rule
 from cinfstruct.errors import EvaluationError, SamplingError, SingularPointError
 from cinfstruct.zerotest import (
@@ -136,3 +137,15 @@ def test_point_mapping_round_trip():
     assert pt["x1"] == Fraction(1, 2)
     assert pt.as_dict() == {"x1": Fraction(1, 2), "x2": Fraction(3)}
     assert pt.as_json() == {"x1": "1/2", "x2": "3"}
+
+
+def test_exact_nonzero_form_is_never_called_zero():
+    # Every sample point has x = k/32 with |k| <= 64, a root of this product,
+    # so every draw vanishes; the canonical form is still not ZERO.
+    ch = Chart("Z", ("x", "u"))
+    e = ch.parse("*".join("(32*x - (%d))" % k for k in range(-64, 65)))
+    r = is_zero(e)
+    assert r.certainty is Certainty.PROVED_NONZERO
+    assert r.witness is None
+    assert r.samples_used == 11 * DEFAULT_POLICY.samples
+    assert not CheckItem("e = 0", r).ok
