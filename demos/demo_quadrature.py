@@ -5,7 +5,7 @@ Numeric primitives of exact 1-forms by quadrature
 When a reduction hands back a closed 1-form M dx + N du on a 2-coordinate
 chart, a primitive is one line integral away.  primitive_by_quadrature
 certifies closedness symbolically, then evaluates F(x, u) along an L-shaped
-path with scipy's adaptive quadrature.
+path with an adaptive 21-point Gauss-Kronrod rule.
 """
 
 import math

@@ -402,16 +402,9 @@ def pullback_form(m: SmoothMap, a: KForm) -> KForm:
     for idx, c in a.coeffs:
         piece = KForm.make(m.source, 0, {(): m.pull_scalar(c)})
         for i in idx:
-            piece = wedge_scalar_first(piece, differentials[i])
+            piece = wedge(piece, differentials[i])
         total = total + piece
     return total
-
-
-def wedge_scalar_first(piece: KForm, nxt: KForm) -> KForm:
-    """wedge() that tolerates a degree-0 left factor."""
-    if piece.degree == 0:
-        return nxt.scaled(piece.coeff(()))
-    return wedge(piece, nxt)
 
 
 def pushforward_field(

@@ -123,7 +123,6 @@ class Chart:
         name: str,
         coords: Sequence[str],
         add_constants: Sequence[str] = (),
-        add_rules: Sequence[RewriteRule] = (),
     ) -> "Chart":
         coords = tuple(coords)
         for c in coords:
@@ -132,7 +131,7 @@ class Chart:
         new_consts = self.constants + tuple(
             c for c in add_constants if c not in self.constants
         )
-        return Chart(name, coords, new_consts, self.rules + tuple(add_rules))
+        return Chart(name, coords, new_consts, self.rules)
 
 
 def parse_expression(text: str, chart: Optional[Chart] = None) -> Expression:

@@ -9,17 +9,19 @@ are interchangeable through mu = 1 / (f * (X_{i0} . omega_{i0})), and a
 first integral F at that level yields f = 1 / X_{i0}(F).
 
 The bottom of the ladder is classical: an exact M dx + N du integrates to a
-primitive by two one-dimensional quadratures along an L-shaped path.
+primitive by two one-dimensional quadratures along an L-shaped path.  Each
+is an adaptive 21-point Gauss-Kronrod rule, QUADPACK's qk21 (Piessens et
+al., 1983) with global bisection as in its QAG driver.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
-
-from scipy.integrate import quad
 
 from . import kernel, syntax
 from .calculus import KForm, apply_field, exterior_derivative, interior_product, wedge
@@ -28,7 +30,7 @@ from .charts import Chart
 from .errors import EvaluationError, SingularExpressionError
 from .kernel import Expression
 from .structures import CinfStructure, DualForms
-from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
+from .zerotest import DEFAULT_POLICY, Certainty, ZeroTestPolicy, ZeroTestResult, is_zero
 
 __all__ = [
     "check_symmetrizing_factor",
@@ -298,7 +300,7 @@ def _float_gen(g, env):
         arg = _float_expr(g.args[0], env)
         try:
             return _MATH_ELEM[g.name](arg)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise EvaluationError("%s(%r): %s" % (g.name, arg, exc)) from None
     raise EvaluationError(
         "quadrature needs numeric coefficients; %r is abstract" % g.name
@@ -310,7 +312,11 @@ def _float_poly(p, env):
     for mono, coeff in p.terms.items():
         val = float(coeff)
         for g, e in mono:
-            val *= _float_gen(g, env) ** e
+            base = _float_gen(g, env)
+            try:
+                val *= base ** e
+            except OverflowError:
+                raise EvaluationError("%r ** %d overflows" % (base, e)) from None
         total += val
     return total
 
@@ -338,6 +344,106 @@ def float_evaluator(chart: Chart, expr) -> Callable[..., float]:
     return fn
 
 
+# QUADPACK's qk21 rule on [-1, 1]: the Kronrod abscissae from the outside
+# in, ending at the centre, with their weights; the odd-indexed abscissae
+# are the 10-point Gauss nodes, weighted by _WG.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# Gauss nodes first, then the rest, as qk21 sums them.
+_GK_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+_QUAD_TOL = 1e-10  # absolute and relative
+_QUAD_LIMIT = 200  # subintervals
+_SPOT_CHECKS = 4
+
+
+def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """qk21: the Kronrod estimate of int_a^b f and its error estimate."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv = [(0.0, 0.0)] * 10
+    for j in _GK_ORDER:
+        absc = hlgth * _XGK[j]
+        f1 = f(centr - absc)
+        f2 = f(centr + absc)
+        fv[j] = (f1, f2)
+        fsum = f1 + f2
+        if j % 2:
+            resg += _WG[j // 2] * fsum
+        resk += _WGK[j] * fsum
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    reskh = 0.5 * resk
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc += _WGK[j] * (abs(fv[j][0] - reskh) + abs(fv[j][1] - reskh))
+    dhlgth = abs(hlgth)
+    resabs *= dhlgth
+    resasc *= dhlgth
+    err = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return resk * hlgth, err
+
+
+def _integrate(f: Callable[[float], float], a: float, b: float) -> float:
+    """int_a^b f, signed, by bisecting the worst subinterval until the
+    summed error estimate is within _QUAD_TOL or _QUAD_LIMIT is reached."""
+    if a == b:
+        return 0.0
+    value, err = _gk21(f, a, b)
+    total, total_err = value, err
+    heap = [(-err, a, b, value)]
+    while total_err > max(_QUAD_TOL, _QUAD_TOL * abs(total)) and len(heap) < _QUAD_LIMIT:
+        neg_err, lo, hi, whole = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        left, left_err = _gk21(f, lo, mid)
+        right, right_err = _gk21(f, mid, hi)
+        total += left + right - whole
+        total_err += left_err + right_err + neg_err
+        heapq.heappush(heap, (-left_err, lo, mid, left))
+        heapq.heappush(heap, (-right_err, mid, hi, right))
+    return math.fsum(item[3] for item in heap)
+
+
 @dataclass(frozen=True)
 class PrimitiveResult:
     """A primitive of an exact form, evaluable by quadrature from a base point."""
@@ -360,8 +466,6 @@ def primitive_by_quadrature(
     form: KForm,
     base: tuple[float, float] = (0.0, 0.0),
     policy: ZeroTestPolicy = DEFAULT_POLICY,
-    spot_checks: int = 4,
-    quad_tol: float = 1e-10,
 ) -> PrimitiveResult:
     """Integrate an exact M dx + N du along the L-shaped path from base.
 
@@ -384,22 +488,16 @@ def primitive_by_quadrature(
     x0, u0 = float(base[0]), float(base[1])
 
     def F(x: float, u: float) -> float:
-        first, _err1 = quad(
-            lambda t: m_fn(t, u), x0, x, epsabs=quad_tol, epsrel=quad_tol, limit=200
-        )
-        second, _err2 = quad(
-            lambda t: n_fn(x0, t), u0, u, epsabs=quad_tol, epsrel=quad_tol, limit=200
-        )
+        first = _integrate(lambda t: m_fn(t, u), x0, x)
+        second = _integrate(lambda t: n_fn(x0, t), u0, u)
         return first + second
 
     # Central-difference spot checks on a small ring around the base point.
-    from .zerotest import Certainty, ZeroTestResult
-
     h = 1e-5
     tol = 1e-5
     errors = []
-    for k in range(spot_checks):
-        ang = 2.0 * math.pi * (k + 0.5) / spot_checks
+    for k in range(_SPOT_CHECKS):
+        ang = 2.0 * math.pi * (k + 0.5) / _SPOT_CHECKS
         px = x0 + 0.7 * math.cos(ang)
         pu = u0 + 0.7 * math.sin(ang)
         try:

@@ -7,10 +7,11 @@ being frozen here.
 """
 
 import math
+import time
 
 import pytest
 
-from cinfstruct import kernel
+from cinfstruct import factors, kernel
 from cinfstruct.calculus import KForm, d_of_function, exterior_derivative, wedge
 from cinfstruct.charts import Chart
 from cinfstruct.errors import EvaluationError, SingularExpressionError
@@ -166,6 +167,62 @@ def test_primitive_by_quadrature_fails_when_no_spot_check_evaluates():
     (grad,) = [it for it in res.certificate.items if it.label.startswith("gradient of F")]
     assert not grad.ok
     assert grad.result.certainty is not Certainty.PROVED_ZERO
+
+
+def test_float_overflow_is_an_evaluation_error():
+    ch = Chart("P", ("x", "u"))
+    with pytest.raises(EvaluationError):
+        float_evaluator(ch, "exp(1000*x)")(1.0, 0.0)
+    with pytest.raises(EvaluationError):
+        float_evaluator(ch, "x^400")(10.0, 0.0)
+    # Spot checks right of x = 0.71 overflow and are skipped; the two left of
+    # it difference values near -exp(500), whose rounding swamps the
+    # gradient, so the check fails instead of raising.
+    res = primitive_by_quadrature(d_of_function(ch, ch.parse("exp(1000*x)")), base=(0.5, 0.0))
+    assert not res.ok
+
+
+def test_quadrature_zero_length_and_reversed_legs():
+    def never(t):
+        raise AssertionError("a zero-length leg evaluates nothing")
+
+    assert factors._integrate(never, 0.3, 0.3) == 0.0
+    # A kink makes the rule bisect, so the reversed leg runs the whole loop.
+    kinked = lambda t: math.sqrt(abs(t))
+    forward = factors._integrate(kinked, -0.2, 0.7)
+    assert forward == pytest.approx((0.2**1.5 + 0.7**1.5) * 2 / 3, abs=1e-10)
+    assert factors._integrate(kinked, 0.7, -0.2) == -forward
+
+    ch = Chart("P", ("x", "u"))
+    res = primitive_by_quadrature(d_of_function(ch, ch.parse("x^2*u + sin(x)")), base=(0.5, 0.2))
+    assert res(0.5, 0.2) == 0.0
+    want = lambda x, u: x * x * u + math.sin(x) - (0.05 + math.sin(0.5))
+    for x, u in [(-0.3, 0.2), (0.5, -0.4), (-0.1, -0.6)]:
+        assert abs(res(x, u) - want(x, u)) < 1e-10
+
+
+def test_quadrature_stops_at_the_subinterval_limit():
+    calls = []
+
+    def inverse_square(t):
+        # Bisection reaches the pole itself once the subintervals are a few
+        # ulps wide; the package's evaluators raise there instead.
+        calls.append(t)
+        return 1.0 / (t - 0.1) ** 2 if t != 0.1 else 0.0
+
+    factors._integrate(inverse_square, -0.2, 0.3)
+    # One rule on the whole leg, then two per bisection up to the limit.
+    assert len(calls) == 21 * (2 * factors._QUAD_LIMIT - 1)
+
+    # d(u/x) from (0.25, 0): the spot checks left of x = 0 integrate across
+    # the pole, so the gradient check fails, within a fixed time.
+    ch = Chart("P", ("x", "u"))
+    t0 = time.perf_counter()
+    res = primitive_by_quadrature(d_of_function(ch, ch.parse("u/x")), base=(0.25, 0.0))
+    assert time.perf_counter() - t0 < 5.0
+    (grad,) = [it for it in res.certificate.items if it.label.startswith("gradient of F")]
+    assert not grad.ok
+    assert not res.ok
 
 
 def test_primitive_by_quadrature_rejects_wrong_shapes():
