@@ -17,7 +17,7 @@ from . import kernel, linalg, syntax
 from .charts import Chart
 from .errors import ChartError, DegreeError, InconsistentSystemError, NotTangentError
 from .kernel import ZERO, Expression
-from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
+from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, ZeroTestResult
 
 __all__ = [
     "VectorField",
@@ -31,6 +31,7 @@ __all__ = [
     "lie_derivative_form",
     "pullback_form",
     "pushforward_field",
+    "pushforward_with_residual",
     "volume_form",
     "d_of_function",
     "compose_maps",
@@ -416,6 +417,14 @@ def pushforward_field(
     point of the inconsistency) and RankDeficientError when the map is not an
     immersion (so no unique W exists).
     """
+    return pushforward_with_residual(m, Z, policy)[0]
+
+
+def pushforward_with_residual(
+    m: SmoothMap, Z: VectorField, policy: ZeroTestPolicy = DEFAULT_POLICY
+) -> tuple[VectorField, ZeroTestResult]:
+    """pushforward_field's W, with the weakest residual zero test of the
+    linear solve: how the tangency of Z was shown, proved or sampled."""
     if Z.chart != m.target:
         raise ChartError("field lives on %r, map lands on %r" % (Z.chart.name, m.target.name))
     jac = m.jacobian()
@@ -428,4 +437,4 @@ def pushforward_field(
             % (Z.name or "?", m.name or "the map"),
             witness=exc.witness,
         ) from exc
-    return VectorField(m.source, sol.values, name=Z.name)
+    return VectorField(m.source, sol.values, name=Z.name), sol.residual

@@ -11,7 +11,8 @@ first integral F at that level yields f = 1 / X_{i0}(F).
 The bottom of the ladder is classical: an exact M dx + N du integrates to a
 primitive by two one-dimensional quadratures along an L-shaped path.  Each
 is an adaptive 21-point Gauss-Kronrod rule, QUADPACK's qk21 (Piessens et
-al., 1983) with global bisection as in its QAG driver.
+al., 1983) with global bisection as in its QAG driver.  The integrands M and
+N are compiled once to float functions by ``zerotest.compile_evaluator``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import kernel, syntax
@@ -30,7 +30,14 @@ from .charts import Chart
 from .errors import EvaluationError, SingularExpressionError
 from .kernel import Expression
 from .structures import CinfStructure, DualForms
-from .zerotest import DEFAULT_POLICY, Certainty, ZeroTestPolicy, ZeroTestResult, is_zero
+from .zerotest import (
+    DEFAULT_POLICY,
+    Certainty,
+    ZeroTestPolicy,
+    ZeroTestResult,
+    compile_evaluator,
+    is_zero,
+)
 
 __all__ = [
     "check_symmetrizing_factor",
@@ -281,67 +288,17 @@ def factor_quotient_check(
 # ---------------------------------------------------------------------------
 # Classical two-variable quadrature.
 
-_MATH_ELEM = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-}
-
-
-def _float_gen(g, env):
-    if g.kind == kernel.SYM_KIND:
-        try:
-            return env[g.name]
-        except KeyError:
-            raise EvaluationError("no value for %s" % g.name) from None
-    if g.kind == kernel.ELEM_KIND:
-        arg = _float_expr(g.args[0], env)
-        try:
-            return _MATH_ELEM[g.name](arg)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError("%s(%r): %s" % (g.name, arg, exc)) from None
-    raise EvaluationError(
-        "quadrature needs numeric coefficients; %r is abstract" % g.name
-    )
-
-
-def _float_poly(p, env):
-    total = 0.0
-    for mono, coeff in p.terms.items():
-        val = float(coeff)
-        for g, e in mono:
-            base = _float_gen(g, env)
-            try:
-                val *= base ** e
-            except OverflowError:
-                raise EvaluationError("%r ** %d overflows" % (base, e)) from None
-        total += val
-    return total
-
-
-def _float_expr(e: Expression, env) -> float:
-    num = _float_poly(e.num, env)
-    den = _float_poly(e.den, env)
-    if den == 0.0:
-        raise EvaluationError("denominator vanished at %r" % (env,))
-    return num / den
-
-
 def float_evaluator(chart: Chart, expr) -> Callable[..., float]:
     """A plain-float callable in the chart's coordinate order."""
-    expr = chart.coerce(expr)
-    coords = chart.coords
+    fn = compile_evaluator(chart.coerce(expr), chart.coords)
+    n = chart.dim
 
-    def fn(*args: float) -> float:
-        if len(args) != len(coords):
-            raise EvaluationError(
-                "expected %d coordinates, got %d" % (len(coords), len(args))
-            )
-        return _float_expr(expr, dict(zip(coords, args)))
+    def call(*args: float) -> float:
+        if len(args) != n:
+            raise EvaluationError("expected %d coordinates, got %d" % (n, len(args)))
+        return fn(*args)
 
-    return fn
+    return call
 
 
 # QUADPACK's qk21 rule on [-1, 1]: the Kronrod abscissae from the outside
@@ -471,7 +428,8 @@ def primitive_by_quadrature(
 
     F(x, u) = int_{x0}^{x} M(t, u) dt + int_{u0}^{u} N(x0, t) dt.  Closedness
     is certified symbolically; the gradient of F is spot-checked against
-    (M, N) by central differences near the base point.
+    (M, N) by central differences near the base point, a float-checked item
+    whose payload counts the spot checks that could be evaluated.
     """
     chart = form.chart
     if chart.dim != 2 or form.degree != 1:
@@ -483,8 +441,8 @@ def primitive_by_quadrature(
         CheckItem("the form is closed", is_zero(closed.coeff((0, 1)), policy))
     ]
 
-    m_fn = float_evaluator(chart, M)
-    n_fn = float_evaluator(chart, N)
+    m_fn = compile_evaluator(M, chart.coords)
+    n_fn = compile_evaluator(N, chart.coords)
     x0, u0 = float(base[0]), float(base[1])
 
     def F(x: float, u: float) -> float:
@@ -513,9 +471,10 @@ def primitive_by_quadrature(
         CheckItem(
             "gradient of F matches the form (central differences)",
             ZeroTestResult(
-                Certainty.PROVED_ZERO if worst <= tol else Certainty.NONZERO,
+                Certainty.FLOAT_CHECKED if worst <= tol else Certainty.NONZERO,
                 1.0,
                 witness_value="%.3e" % worst,
+                samples_used=len(errors),
             ),
         )
     )
@@ -524,5 +483,7 @@ def primitive_by_quadrature(
         items,
         base=[x0, u0],
         max_gradient_error="%.3e" % worst,
+        spot_checks=_SPOT_CHECKS,
+        spot_checks_evaluated=len(errors),
     )
     return PrimitiveResult(chart, form, (x0, u0), F, cert)

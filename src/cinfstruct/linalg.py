@@ -16,18 +16,9 @@ from typing import Optional, Sequence
 
 from .errors import InconsistentSystemError, RankDeficientError
 from .kernel import ZERO, Expression
-from .zerotest import (
-    DEFAULT_POLICY,
-    Certainty,
-    ZeroTestPolicy,
-    ZeroTestResult,
-    is_zero,
-)
+from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, ZeroTestResult, is_zero, weakest
 
 __all__ = ["LinearSolution", "solve_linear", "rank_certified", "det"]
-
-
-_PROVED = ZeroTestResult(Certainty.PROVED_ZERO, 1.0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ def solve_linear(
     ncols = len(matrix[0]) if matrix else 0
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     where, remaining = _eliminate(rows, ncols, policy)
-    weakest = _PROVED
+    tests = []
     for rj in remaining:
         residual = rows[rj][ncols]
         if residual.is_zero_expr():
@@ -111,8 +102,7 @@ def solve_linear(
             raise InconsistentSystemError(
                 "linear system is inconsistent", witness=zt.witness, residual=residual
             )
-        if weakest is _PROVED or zt.confidence < weakest.confidence:
-            weakest = zt
+        tests.append(zt)
     if len(where) < ncols:
         raise RankDeficientError(
             "linear system does not determine a unique solution (rank %d of %d)"
@@ -128,7 +118,7 @@ def solve_linear(
                 acc = acc - entry * values[c2]
         values[col] = acc / rows[ri][col]
     pivots = tuple(rows[ri][col] for ri, col in where)
-    return LinearSolution(tuple(values), pivots, weakest)
+    return LinearSolution(tuple(values), pivots, weakest(tests))
 
 
 def rank_certified(

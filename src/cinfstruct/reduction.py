@@ -25,6 +25,7 @@ from .calculus import (
     interior_product,
     pullback_form,
     pushforward_field,
+    pushforward_with_residual,
     wedge,
 )
 from .certs import Certificate, CheckItem, bundle
@@ -39,7 +40,14 @@ from .structures import (
     check_cinf_structure,
     dual_one_forms,
 )
-from .zerotest import DEFAULT_POLICY, Certainty, ZeroTestPolicy, ZeroTestResult, is_zero
+from .zerotest import (
+    DEFAULT_POLICY,
+    Certainty,
+    ZeroTestPolicy,
+    ZeroTestResult,
+    is_zero,
+    weakest,
+)
 
 __all__ = [
     "Stage",
@@ -372,14 +380,17 @@ def descend(
             )
 
     sub_structure = check_cinf_structure(Distribution(lower, new_gens), new_fields, policy)
-    items.append(
-        CheckItem(
-            "pushed family is a structure on the lower chart",
-            ZeroTestResult(
-                Certainty.PROVED_ZERO if sub_structure.ok else Certainty.NONZERO, 1.0
-            ),
+    # As strong as the weakest zero test the substructure's verdict rests on.
+    if sub_structure.ok:
+        sub_items = (
+            sub_structure.independence.items
+            + sub_structure.involutivity.items
+            + sub_structure.certificate().items
         )
-    )
+        verdict = weakest(it.result for it in sub_items if it.expect_zero)
+    else:
+        verdict = ZeroTestResult(Certainty.NONZERO, 1.0)
+    items.append(CheckItem("pushed family is a structure on the lower chart", verdict))
 
     cert = bundle(
         "reduction-step",
@@ -588,13 +599,8 @@ def verify_integral_manifold(
     for Z in dual.structure.distribution.generators:
         zname = Z.name or "Z"
         try:
-            pushforward_field(imap, Z, policy)
-            items.append(
-                CheckItem(
-                    "%s is tangent to the manifold" % zname,
-                    ZeroTestResult(Certainty.PROVED_ZERO, 1.0),
-                )
-            )
+            _, residual = pushforward_with_residual(imap, Z, policy)
+            items.append(CheckItem("%s is tangent to the manifold" % zname, residual))
         except NotTangentError as exc:
             items.append(
                 CheckItem(

@@ -7,15 +7,23 @@ points (independent values per coordinate, constant, and jet slot) with
 high-precision floating evaluation, yielding ``ProbablyZero`` with a
 Schwartz-Zippel style confidence or a concrete ``Nonzero`` witness.  All
 draws come from a policy-seeded generator, so results are reproducible.
+
+Every numeric evaluation in the package goes through one compiler,
+``compile_evaluator``: an expression becomes straight-line Python once, with
+one of three number backends -- ``math`` floats (the quadrature in
+``factors``), exact integers over a common denominator, giving ``Fraction``
+values (the rational zero test), and ``mpmath`` (the elementary zero test,
+with its singularity guard and term scale).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 import mpmath
 
@@ -29,9 +37,11 @@ __all__ = [
     "ZeroTestPolicy",
     "ZeroTestResult",
     "DEFAULT_POLICY",
+    "compile_evaluator",
     "evaluate",
     "is_zero",
     "sample_slots",
+    "weakest",
 ]
 
 _SAMPLE_DEN = 32
@@ -41,12 +51,14 @@ _SAMPLE_MAX = 64  # numerators in [-64, 64] -> 129 candidate values in [-2, 2]
 class Certainty(str, Enum):
     PROVED_ZERO = "proved-zero"
     PROBABLY_ZERO = "probably-zero"
+    # Within a tolerance in floating point, e.g. a central-difference check.
+    FLOAT_CHECKED = "float-checked"
     NONZERO = "nonzero"
     PROVED_NONZERO = "proved-nonzero"
 
     @property
     def is_zero(self) -> bool:
-        return self in (Certainty.PROVED_ZERO, Certainty.PROBABLY_ZERO)
+        return self in (Certainty.PROVED_ZERO, Certainty.PROBABLY_ZERO, Certainty.FLOAT_CHECKED)
 
 
 @dataclass(frozen=True)
@@ -121,8 +133,34 @@ class ZeroTestResult:
         return out
 
 
+_PROVED = ZeroTestResult(Certainty.PROVED_ZERO, 1.0)
+# Sampled confidence rounds to 1.0 after a few samples, so the kind of
+# evidence ranks first.
+_STRENGTH = {Certainty.FLOAT_CHECKED: 0, Certainty.PROBABLY_ZERO: 1, Certainty.PROVED_ZERO: 2}
+
+
+def weakest(results) -> ZeroTestResult:
+    """The weakest of some zero verdicts: float-checked before sampled before
+    proved, then the lowest confidence, the first among equals; a proved
+    zero when there are none."""
+    out = _PROVED
+    for r in results:
+        if (_STRENGTH[r.certainty], r.confidence) < (_STRENGTH[out.certainty], out.confidence):
+            out = r
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Evaluation.
+# Evaluation: one compiler, three number backends.
+#
+# An expression is compiled once into straight-line Python in the order of
+# operations of a term-by-term walk: each term is coeff * g1**e1 * g2**e2 ...
+# in ``Poly.terms`` order, a polynomial is the sum of its terms from zero,
+# and each generator is computed once into a temporary.  Slot values arrive
+# as positional arguments, and coefficients as float or int literals or,
+# for mpmath, through the function's namespace, so the source holds only
+# temporaries, literals and the backend's function names; no symbol or
+# jet-slot name ever enters it.
 
 
 def sample_slots(e: Expression) -> list:
@@ -142,6 +180,229 @@ def _collect_slots(e: Expression, acc: set) -> None:
             _collect_slots(g.args[0], acc)
 
 
+def _mp_ln(a):
+    if a <= 0:
+        raise SingularPointError("ln of a nonpositive sample")
+    return mpmath.ln(a)
+
+
+def _mp_sqrt(a):
+    if a < 0:
+        raise SingularPointError("sqrt of a negative sample")
+    return mpmath.sqrt(a)
+
+
+def _guard(d, bound):
+    if d == 0 or abs(d) < bound:
+        raise SingularPointError("denominator vanished or within the singularity guard")
+    return d
+
+
+def _scaled(bound, zero, terms, den):
+    """The numerator's terms summed from zero, over the guarded denominator
+    (None for 1), and the scale: the largest |term| over |den|, at least 1."""
+    total, biggest = zero, 0
+    for t in terms:
+        total = total + t
+        if abs(t) > biggest:
+            biggest = abs(t)
+    if den is None:
+        return total, max(biggest, 1)
+    _guard(den, bound)
+    return total / den, max(biggest / abs(den), 1)
+
+
+def _exact(bound, num_terms, num_scale, den_terms, den_scale):
+    """_scaled in integers: the numerator is sum(num_terms) / num_scale and
+    the denominator sum(den_terms) / den_scale."""
+    biggest = max(map(abs, num_terms), default=0)
+    den = sum(den_terms)
+    if den == 0 or abs(den) * bound.denominator < bound.numerator * den_scale:
+        raise SingularPointError("denominator vanished or within the singularity guard")
+    value = Fraction(sum(num_terms) * den_scale, num_scale * den)
+    return value, max(Fraction(biggest * den_scale, num_scale * abs(den)), 1)
+
+
+def _float_failed(exc):
+    raise EvaluationError("float evaluation failed: %s" % exc) from None
+
+
+_FLOAT_FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+_MP_FUNCS = {"exp": mpmath.exp, "ln": _mp_ln, "sin": mpmath.sin, "cos": mpmath.cos, "sqrt": _mp_sqrt}
+_FUNCS = {"float": _FLOAT_FUNCS, "exact": {}, "mpmath": _MP_FUNCS}
+
+
+class _Refused(Exception):
+    """The expression cannot be evaluated with these slots and backend."""
+
+
+_SUM_CHUNK = 64  # terms added per line, so no line nests too deep to compile
+
+
+class _Emitter:
+    """Writes one evaluator: a temporary per elementary generator, then one
+    return expression."""
+
+    def __init__(self, slots, backend: str, denominator: int):
+        self.backend = backend
+        self.q = denominator
+        self.funcs = _FUNCS[backend]
+        self.args = {name: "a%d" % i for i, name in enumerate(slots)}
+        self.consts: dict = {}  # Fraction -> global name (mpmath)
+        self.zero = "0" if backend == "exact" else self.coeff(Fraction(0))
+        self.temps: dict = {}  # Gen -> temporary or argument
+        self.lines: list = []
+
+    def temp(self, rhs: str) -> str:
+        name = "t%d" % len(self.lines)
+        self.lines.append("%s = %s" % (name, rhs))
+        return name
+
+    def coeff(self, c) -> str:
+        if self.backend == "float":
+            try:
+                return repr(float(c))
+            except OverflowError:
+                raise _Refused("a coefficient overflows a float") from None
+        if self.backend == "exact":
+            return repr(c)  # an int: see int_terms
+        return self.consts.setdefault(c, "k%d" % len(self.consts))
+
+    def gen(self, g: Gen) -> str:
+        name = self.temps.get(g)
+        if name is not None:
+            return name
+        if g.kind == kernel.ELEM_KIND:
+            if g.name not in self.funcs:
+                raise _Refused("%s needs a numeric backend" % g.name)
+            name = self.temp("%s(%s)" % (g.name, self.expr(g.args[0])))
+        else:
+            key = g.name if g.kind == kernel.SYM_KIND else syntax.format_gen(g)
+            name = self.args.get(key)
+            if name is None:
+                if g.kind == kernel.SYM_KIND:
+                    raise _Refused("no value for symbol %r" % key)
+                raise _Refused("no value for jet slot %r: the function is abstract" % key)
+        self.temps[g] = name
+        return name
+
+    def terms(self, items) -> list:
+        out = []
+        for mono, c in items:
+            # A unit coefficient is left out: 1 * v is v, bit for bit, in
+            # every backend.
+            factors = [] if c == 1 and mono else [self.coeff(c)]
+            for g, e in mono:
+                name = self.gen(g)
+                factors.append(name if e == 1 else "%s ** %d" % (name, e))
+            out.append(" * ".join(factors))
+        return out
+
+    def int_terms(self, p):
+        """Terms over the integer arguments k = value * q, and the integer
+        s with p's value = sum(terms) / s: a term c*m of degree d gets the
+        integer coefficient c * s / q**d, for s = lcm(denominators) * q**D
+        with D the largest degree."""
+        if p.is_one():
+            return "(1, )", 1
+        degs = [sum([e for _, e in m]) for m in p.terms]
+        top = max(degs, default=0)
+        lcm = math.lcm(*[c.denominator for c in p.terms.values()])
+        items = [
+            (m, c.numerator * (lcm // c.denominator) * self.q ** (top - d))
+            for (m, c), d in zip(p.terms.items(), degs)
+        ]
+        return "(%s)" % "".join(t + ", " for t in self.terms(items)), lcm * self.q**top
+
+    def total(self, p) -> str:
+        terms = self.terms(p.terms.items())
+        acc = self.zero
+        for i in range(0, len(terms), _SUM_CHUNK):
+            acc = " + ".join([acc] + terms[i:i + _SUM_CHUNK])
+            if i + _SUM_CHUNK < len(terms):
+                acc = self.temp(acc)
+        return "(%s)" % acc
+
+    def expr(self, e: Expression) -> str:
+        num = self.total(e.num)
+        if e.den.is_one():
+            return num
+        if self.backend == "float":
+            return "(%s / %s)" % (num, self.total(e.den))
+        return "(%s / guard(%s, bound))" % (num, self.total(e.den))
+
+    def body(self, e: Expression) -> str:
+        """The return expression; the temporaries it needs are in lines."""
+        if self.backend == "float":
+            return self.expr(e)
+        if self.backend == "exact":
+            return "exact(bound, %s, %d, %s, %d)" % (self.int_terms(e.num) + self.int_terms(e.den))
+        terms = "".join(t + ", " for t in self.terms(e.num.terms.items()))
+        den = "None" if e.den.is_one() else self.total(e.den)
+        return "scaled(bound, %s, (%s), %s)" % (self.zero, terms, den)
+
+
+def compile_evaluator(
+    e: Expression,
+    slots,
+    backend: str = "float",
+    eps_sing: Optional[Fraction] = None,
+    denominator: int = 1,
+) -> Callable:
+    """Compile e into a function of its slot values, given positionally in
+    the order of `slots` (symbol names and printed jet slots).
+
+    ``"float"`` takes floats, computes through ``math`` and returns a float;
+    a domain error, an overflow, a vanishing denominator or a slot with no
+    value raises EvaluationError when the function is called.
+
+    ``"mpmath"`` takes mpfs, converting the coefficients at the working
+    precision in force when this is called.  ``"exact"`` takes each value v
+    as the integer v * `denominator` and computes in integers.  These two
+    return (value, scale), the scale being the largest absolute numerator
+    term over |denominator|, at least 1 (exact Fractions from ``"exact"``).
+    They raise SingularPointError at a denominator within ``eps_sing`` of
+    zero, or equal to zero, and at ln or sqrt outside its domain.
+    """
+    em = _Emitter(slots, backend, denominator)
+    try:
+        ret = em.body(e)
+    except _Refused as exc:
+        msg = str(exc)
+
+        def refuse(*_values):
+            raise EvaluationError(msg)
+
+        return refuse
+    bound = Fraction(0) if eps_sing is None else Fraction(eps_sing)
+    names = list(em.args.values())
+    if backend == "exact":
+        # One expression with no temporaries (elementary generators are
+        # refused), usually run once: eval mode compiles in about two thirds
+        # of the time a function takes.
+        code = compile(ret, "<compiled exact evaluator>", "eval")
+        return lambda *values: eval(
+            code, dict(zip(names, values), exact=_exact, bound=bound, __builtins__={})
+        )
+    body = em.lines + ["return " + ret]
+    if backend == "float":
+        body = ["try:"] + ["    " + line for line in body]
+        body += ["except ARITH as exc:", "    failed(exc)"]
+    src = "def evaluator(%s):\n%s" % (", ".join(names), "".join("    %s\n" % ln for ln in body))
+    ns = dict(em.funcs, scaled=_scaled, guard=_guard, failed=_float_failed,
+              ARITH=(ArithmeticError, ValueError), __builtins__={})
+    if backend == "mpmath":
+        ns.update(((k, _to_mpf(c)) for c, k in em.consts.items()), bound=float(bound))
+    exec(compile(src, "<compiled %s evaluator>" % backend, "exec"), ns)
+    return ns.pop("evaluator")  # no cycle through its globals
+
+
+def _to_mpf(v):
+    if isinstance(v, Fraction):
+        return mpmath.mpf(v.numerator) / v.denominator
+    return mpmath.mpf(v)
+
+
 def evaluate(
     e: Expression,
     values: Mapping[str, object],
@@ -159,89 +420,15 @@ def evaluate(
     exact = not e.has_elementary() and not any(
         isinstance(v, float) for v in values.values()
     )
+    slots = [s for s in sample_slots(e) if s in values]
     if exact:
-        v, _ = _ev_expr(e, values, None, eps_sing)
-        return v
+        args = [Fraction(values[s]) for s in slots]
+        q = math.lcm(*(a.denominator for a in args))
+        fn = compile_evaluator(e, slots, "exact", eps_sing, q)
+        return fn(*(int(a * q) for a in args))[0]
     with mpmath.workdps(digits):
-        v, _ = _ev_expr(e, values, mpmath.mpf, eps_sing)
-        return v
-
-
-def _ev_expr(e: Expression, values, tofloat, eps):
-    num, scale = _ev_poly(e.num, values, tofloat, eps)
-    if e.den.is_one():
-        return num, max(scale, 1)
-    den, _ = _ev_poly(e.den, values, tofloat, eps)
-    _guard_den(den, eps)
-    return num / den, max(scale / abs(den), 1)
-
-
-def _guard_den(den, eps):
-    if den == 0:
-        raise SingularPointError("denominator vanished at sample point")
-    if eps is None:
-        return
-    # mpf refuses to compare with Fraction, so degrade the guard bound to a
-    # float on the numeric path; the exact path keeps the Fraction bound.
-    bound = eps if isinstance(den, Fraction) else float(eps)
-    if abs(den) < bound:
-        raise SingularPointError("denominator within singularity guard at sample point")
-
-
-def _ev_poly(p, values, tofloat, eps):
-    total = Fraction(0) if tofloat is None else tofloat(0)
-    biggest = 0
-    for m, c in p.terms.items():
-        term = Fraction(c) if tofloat is None else tofloat(c.numerator) / c.denominator
-        for g, k in m:
-            gv = _ev_gen(g, values, tofloat, eps)
-            term = term * gv**k
-        total = total + term
-        a = abs(term)
-        if a > biggest:
-            biggest = a
-    return total, biggest
-
-
-def _ev_gen(g: Gen, values, tofloat, eps):
-    if g.kind == kernel.SYM_KIND:
-        try:
-            v = values[g.name]
-        except KeyError:
-            raise EvaluationError("no value for symbol %r" % g.name)
-        return _as_number(v, tofloat)
-    if g.kind == kernel.APP_KIND:
-        key = syntax.format_gen(g)
-        try:
-            v = values[key]
-        except KeyError:
-            raise EvaluationError("no value for jet slot %r" % key)
-        return _as_number(v, tofloat)
-    arg, _ = _ev_expr(g.args[0], values, tofloat, eps)
-    f = g.name
-    if f == "exp":
-        return mpmath.exp(arg)
-    if f == "ln":
-        if arg <= 0:
-            raise SingularPointError("ln of a nonpositive sample")
-        return mpmath.ln(arg)
-    if f == "sin":
-        return mpmath.sin(arg)
-    if f == "cos":
-        return mpmath.cos(arg)
-    if f == "sqrt":
-        if arg < 0:
-            raise SingularPointError("sqrt of a negative sample")
-        return mpmath.sqrt(arg)
-    raise EvaluationError("unknown elementary function %r" % f)  # pragma: no cover
-
-
-def _as_number(v, tofloat):
-    if tofloat is None:
-        return Fraction(v)
-    if isinstance(v, Fraction):
-        return tofloat(v.numerator) / v.denominator
-    return tofloat(v)
+        fn = compile_evaluator(e, slots, "mpmath", eps_sing)
+        return fn(*(_to_mpf(values[s]) for s in slots))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +436,12 @@ def _as_number(v, tofloat):
 
 
 def _draw_point(rng: random.Random, slots) -> dict:
-    return {
-        name: Fraction(rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX), _SAMPLE_DEN)
-        for name in slots
-    }
+    """Numerators over _SAMPLE_DEN, one per slot."""
+    return {name: rng.randint(-_SAMPLE_MAX, _SAMPLE_MAX) for name in slots}
+
+
+def _witness(pt: dict) -> Point:
+    return Point(tuple(sorted((name, Fraction(k, _SAMPLE_DEN)) for name, k in pt.items())))
 
 
 def _confidence(e: Expression, samples: int) -> float:
@@ -275,17 +464,22 @@ def is_zero(e: Expression, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroTestR
     rng = random.Random(policy.seed)
     slots = sample_slots(e)
     exact = not e.has_elementary()
+    if exact:
+        fn = compile_evaluator(e, slots, "exact", policy.eps_sing, _SAMPLE_DEN)
+    else:
+        with mpmath.workdps(policy.digits):
+            fn = compile_evaluator(e, slots, "mpmath", policy.eps_sing)
     used = 0
     rounds = policy.samples if not exact else 11 * policy.samples
     for trial in range(rounds):
-        pt, value, scale = _sample_once(e, rng, slots, policy, exact)
+        pt, value, scale = _sample_once(fn, rng, slots, policy, exact)
         used += 1
         if exact:
             if value != 0:
                 return ZeroTestResult(
                     Certainty.NONZERO,
                     1.0,
-                    witness=Point.of(pt),
+                    witness=_witness(pt),
                     witness_value=str(value),
                     samples_used=used,
                 )
@@ -294,7 +488,7 @@ def is_zero(e: Expression, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroTestR
                 return ZeroTestResult(
                     Certainty.NONZERO,
                     1.0,
-                    witness=Point.of(pt),
+                    witness=_witness(pt),
                     witness_value=mpmath.nstr(value, 17),
                     samples_used=used,
                 )
@@ -307,16 +501,16 @@ def is_zero(e: Expression, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroTestR
     )
 
 
-def _sample_once(e, rng, slots, policy, exact):
+def _sample_once(fn, rng, slots, policy, exact):
     """Draw points until one clears the singularity guard, then evaluate."""
     for _ in range(policy.max_redraws):
         pt = _draw_point(rng, slots)
         try:
             if exact:
-                value, scale = _ev_expr(e, pt, None, policy.eps_sing)
+                value, scale = fn(*pt.values())
             else:
                 with mpmath.workdps(policy.digits):
-                    value, scale = _ev_expr(e, pt, mpmath.mpf, policy.eps_sing)
+                    value, scale = fn(*(mpmath.mpf(k) / _SAMPLE_DEN for k in pt.values()))
         except SingularPointError:
             continue
         return pt, value, scale

@@ -8,10 +8,17 @@ and small inputs keep the exact arithmetic fast.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
+import mpmath
+
+from cinfstruct import kernel, syntax
 from cinfstruct import reduction as rd
 from cinfstruct import structures as st
 from cinfstruct.calculus import KForm, VectorField
 from cinfstruct.charts import Chart, parse_rule
+from cinfstruct.errors import EvaluationError, SingularPointError
 
 
 def field(chart, name, *comps):
@@ -161,3 +168,116 @@ def random_field(rng, chart, degree=2, name=""):
 def random_one_form(rng, chart, degree=2):
     data = {(i,): random_poly(rng, chart, degree) for i in range(chart.dim)}
     return KForm.make(chart, 1, data)
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators: tree walkers in the order of operations that
+# zerotest.compile_evaluator reproduces, kept here to test it against.
+
+_MATH_ELEM = {
+    "exp": math.exp,
+    "ln": math.log,
+    "sin": math.sin,
+    "cos": math.cos,
+    "sqrt": math.sqrt,
+}
+
+
+def _float_gen(g, env):
+    if g.kind == kernel.SYM_KIND:
+        try:
+            return env[g.name]
+        except KeyError:
+            raise EvaluationError("no value for %s" % g.name) from None
+    if g.kind == kernel.ELEM_KIND:
+        arg = walk_float(g.args[0], env)
+        try:
+            return _MATH_ELEM[g.name](arg)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError("%s(%r): %s" % (g.name, arg, exc)) from None
+    raise EvaluationError("quadrature needs numeric coefficients; %r is abstract" % g.name)
+
+
+def _float_poly(p, env):
+    total = 0.0
+    for mono, coeff in p.terms.items():
+        try:
+            val = float(coeff)
+        except OverflowError:
+            raise EvaluationError("coefficient %s overflows" % coeff) from None
+        for g, e in mono:
+            base = _float_gen(g, env)
+            try:
+                val *= base**e
+            except OverflowError:
+                raise EvaluationError("%r ** %d overflows" % (base, e)) from None
+        total += val
+    return total
+
+
+def walk_float(e, env) -> float:
+    """Plain-float value of e; env maps symbol names to floats."""
+    num = _float_poly(e.num, env)
+    den = _float_poly(e.den, env)
+    if den == 0.0:
+        raise EvaluationError("denominator vanished at %r" % (env,))
+    return num / den
+
+
+def walk_scaled(e, values, tofloat=None, eps=None):
+    """(value, scale) of e as the zero test computes them: exact Fractions
+    when tofloat is None, else numbers made by tofloat (mpmath.mpf)."""
+    num, scale = _ev_poly(e.num, values, tofloat, eps)
+    if e.den.is_one():
+        return num, max(scale, 1)
+    den, _ = _ev_poly(e.den, values, tofloat, eps)
+    _guard_den(den, eps)
+    return num / den, max(scale / abs(den), 1)
+
+
+def _guard_den(den, eps):
+    if den == 0:
+        raise SingularPointError("denominator vanished at sample point")
+    if eps is None:
+        return
+    bound = eps if isinstance(den, Fraction) else float(eps)
+    if abs(den) < bound:
+        raise SingularPointError("denominator within singularity guard at sample point")
+
+
+def _ev_poly(p, values, tofloat, eps):
+    total = Fraction(0) if tofloat is None else tofloat(0)
+    biggest = 0
+    for m, c in p.terms.items():
+        term = Fraction(c) if tofloat is None else tofloat(c.numerator) / c.denominator
+        for g, k in m:
+            gv = _ev_gen(g, values, tofloat, eps)
+            term = term * gv**k
+        total = total + term
+        a = abs(term)
+        if a > biggest:
+            biggest = a
+    return total, biggest
+
+
+def _ev_gen(g, values, tofloat, eps):
+    if g.kind == kernel.SYM_KIND:
+        key = g.name
+    elif g.kind == kernel.APP_KIND:
+        key = syntax.format_gen(g)
+    else:
+        arg, _ = walk_scaled(g.args[0], values, tofloat, eps)
+        if g.name == "ln" and arg <= 0:
+            raise SingularPointError("ln of a nonpositive sample")
+        if g.name == "sqrt" and arg < 0:
+            raise SingularPointError("sqrt of a negative sample")
+        return getattr(mpmath, g.name)(arg)
+    try:
+        v = values[key]
+    except KeyError:
+        raise EvaluationError("no value for %r" % key) from None
+    if tofloat is None:
+        return Fraction(v)
+    if isinstance(v, Fraction):
+        return tofloat(v.numerator) / v.denominator
+    return tofloat(v)

@@ -246,3 +246,30 @@ def test_derived_factor_entries_match_the_goldens(dim4, dim4_factors):
     assert low.ok
     assert low.f == p(helpers.DIM4_F1)
     assert low.mu == p(helpers.DIM4_MU1)
+
+
+def test_a_coefficient_beyond_float_range_is_an_evaluation_error():
+    ch = Chart("P", ("x", "u"))
+    fn = float_evaluator(ch, "10^400*x")
+    with pytest.raises(EvaluationError):
+        fn(1.0, 0.0)
+    res = primitive_by_quadrature(d_of_function(ch, ch.parse("10^400*x*u")))
+    assert not res.ok
+    assert res.certificate.as_json()["spot_checks_evaluated"] == 0
+
+
+def test_the_gradient_check_says_it_is_a_float_check():
+    ch = Chart("P", ("x", "u"))
+    res = primitive_by_quadrature(d_of_function(ch, ch.parse("x^2*u + sin(x)")))
+    (grad,) = [it for it in res.certificate.items if it.label.startswith("gradient of F")]
+    assert res.ok and grad.ok
+    assert grad.result.certainty is Certainty.FLOAT_CHECKED
+    assert res.certificate.as_json()["spot_checks_evaluated"] == 4
+    # sqrt(x) has no value left of x = 0: two of the four spot checks from
+    # (0.2, 0) cannot be evaluated, and the certificate says so.
+    res = primitive_by_quadrature(d_of_function(ch, ch.parse("u*sqrt(x)")), base=(0.2, 0.0))
+    out = res.certificate.as_json()
+    assert res.ok
+    assert (out["spot_checks_evaluated"], out["spot_checks"]) == (2, 4)
+    (grad,) = [c for c in out["checks"] if c["check"].startswith("gradient of F")]
+    assert grad["certainty"] == "float-checked" and grad["samples"] == 2

@@ -24,6 +24,7 @@ from cinfstruct.reduction import (
     verify_integral_manifold,
 )
 from cinfstruct.structures import Distribution, check_cinf_symmetry
+from cinfstruct.zerotest import Certainty
 
 import helpers
 
@@ -242,3 +243,30 @@ def test_derive_factors_needs_no_completed_state():
     entries = derive_factors(state)
     assert [e.level for e in entries] == [2]
     assert entries[0].f == ch.parse(helpers.DIM4_F2)
+
+
+def test_sampled_residuals_are_not_reported_proved():
+    # exp(2x) - exp(x)^2 vanishes, but only sampling can tell: Z2 moves w by
+    # it, so [Z1, Z2] lies in span{Z1, Z2} by a sampled residual alone.
+    ch = Chart("E", ("x", "y", "w", "z"))
+    Z1 = helpers.field(ch, "Z1", 1, 0, 0, 0)
+    Z2 = helpers.field(ch, "Z2", 0, 1, "exp(2*x) - exp(x)^2", 0)
+    X1 = helpers.field(ch, "X1", 0, 0, 1, 0)
+    X2 = helpers.field(ch, "X2", 0, 0, 0, 1)
+    state = init_reduction(Distribution(ch, (Z1, Z2)), [X1, X2])
+    step = descend(state, "z", "C2", "z", "C2")
+    assert step.certificate.ok
+    (pushed,) = [it for it in step.certificate.items if it.label.startswith("pushed family")]
+    assert pushed.ok
+    assert pushed.result.certainty is Certainty.PROBABLY_ZERO
+    assert pushed.result.samples_used > 0
+
+    # The leaf w = 1, z = 0 is tangent to Z2 by the same sampled residual.
+    leaf = SmoothMap(Chart("L", ("x", "y")), ch, ("x", "y", "1", "0"))
+    cert = verify_integral_manifold(state.dual, leaf)
+    assert cert.ok
+    tangent = {it.label: it.result.certainty for it in cert.items if "tangent" in it.label}
+    assert tangent == {
+        "Z1 is tangent to the manifold": Certainty.PROVED_ZERO,
+        "Z2 is tangent to the manifold": Certainty.PROBABLY_ZERO,
+    }

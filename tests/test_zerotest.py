@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+import helpers
 from cinfstruct.certs import CheckItem
 from cinfstruct.charts import Chart, parse_rule
 from cinfstruct.errors import EvaluationError, SamplingError, SingularPointError
@@ -12,9 +14,12 @@ from cinfstruct.zerotest import (
     Certainty,
     Point,
     ZeroTestPolicy,
+    ZeroTestResult,
+    compile_evaluator,
     evaluate,
     is_zero,
     sample_slots,
+    weakest,
 )
 
 CH = Chart("M", ("x1", "x2", "x3", "x4"))
@@ -149,3 +154,78 @@ def test_exact_nonzero_form_is_never_called_zero():
     assert r.witness is None
     assert r.samples_used == 11 * DEFAULT_POLICY.samples
     assert not CheckItem("e = 0", r).ok
+
+
+def test_exact_backend_refuses_elementary_functions():
+    e = CH.parse("exp(x1)")
+    with pytest.raises(EvaluationError, match="numeric backend"):
+        compile_evaluator(e, CH.coords, "exact")(1, 1, 1, 1)
+
+
+def test_names_never_enter_the_source():
+    # Coordinates named like Python builtins, keywords, the package's
+    # elementary functions and the evaluator's own temporaries.
+    names = ("lambda", "None", "exp", "abs", "t0", "a1", "a0", "k0", "bound", "__builtins__")
+    ch = Chart("B", names)
+    text = "exp(lambda)*None^2 + abs/t0 + sqrt(k0)*a1 - a0/3 + ln(bound)*__builtins__"
+    e = ch.parse(text)
+    point = (0.5, -1.25, 0.75, 2.0, 1.5, 0.25, -0.5, 3.0, 4.0, 1.75)
+    want = helpers.walk_float(e, dict(zip(names, point)))
+    assert compile_evaluator(e, names)(*point).hex() == want.hex()
+    exact = dict(zip(names, map(Fraction, point)))
+    with mpmath.workdps(50):
+        ref, _ = helpers.walk_scaled(e, exact, mpmath.mpf)
+    assert evaluate(e, exact) == ref
+    # The slots are bound by position, whatever order the names sort in.
+    swapped = ch.parse("a0 - 2*a1")
+    assert compile_evaluator(swapped, ("a1", "a0"))(1.0, 5.0) == 3.0
+
+
+def test_jet_slots_evaluate_by_their_printed_name(airy):
+    ch = airy.chart
+    e = ch.parse("D(phi1, x)*phi2(x) - phi1(x)*D(phi2, x) + u1/(x + 2)")
+    slots = sample_slots(e)
+    assert "D(phi1, x, 1)" in slots and "phi2(x)" in slots
+    values = {s: Fraction(k + 2, 3) for k, s in enumerate(slots)}
+    value, scale = compile_evaluator(e, slots, "exact", None, 3)(*range(2, len(slots) + 2))
+    assert (value, scale) == helpers.walk_scaled(e, values)
+    assert evaluate(e, values) == value
+    # Left out of the slots, a jet is abstract: an EvaluationError at call.
+    fn = compile_evaluator(e, ch.coords)
+    with pytest.raises(EvaluationError, match="abstract"):
+        fn(1.0, 0.0, 0.5, 0.25)
+    with pytest.raises(EvaluationError):
+        evaluate(e, {s: v for s, v in values.items() if s != "phi2(x)"})
+
+
+def test_long_sums_compile_in_chunks():
+    # Hundreds of terms in one polynomial: summed in chunks, still in order.
+    ch = Chart("W", ("x", "u"))
+    e = ch.parse(" + ".join("%d*x^%d*u^%d" % (k % 7 - 3 or 1, k // 20, k % 20) for k in range(400)))
+    assert len(e.num.terms) == 400
+    x, u = 0.9, -1.05
+    assert compile_evaluator(e, ch.coords)(x, u).hex() == helpers.walk_float(e, {"x": x, "u": u}).hex()
+    fr = (Fraction(9, 10), Fraction(-21, 20))
+    fn = compile_evaluator(e, ch.coords, "exact", None, 20)
+    assert fn(18, -21) == helpers.walk_scaled(e, dict(zip("xu", fr)))
+
+
+def test_weakest_ranks_the_kind_of_evidence_before_confidence():
+    proved = ZeroTestResult(Certainty.PROVED_ZERO, 1.0)
+    # Twenty samples give a confidence that rounds to 1.0.
+    sampled = is_zero(CH.parse("exp(2*x1) - exp(x1)^2"))
+    assert sampled.certainty is Certainty.PROBABLY_ZERO and sampled.confidence == 1.0
+    floated = ZeroTestResult(Certainty.FLOAT_CHECKED, 1.0)
+    assert floated.is_zero
+    assert weakest([]).certainty is Certainty.PROVED_ZERO
+    assert weakest([proved, sampled, proved]) is sampled
+    assert weakest([sampled, floated]) is floated
+    low = ZeroTestResult(Certainty.PROBABLY_ZERO, 0.5)
+    assert weakest([sampled, low, proved]) is low
+
+
+def test_exact_evaluation_of_zero_and_constants():
+    zero = CH.parse("x1 - x1")
+    assert evaluate(zero, {}) == 0
+    assert compile_evaluator(zero, [], "exact", None, 32)() == (0, 1)
+    assert evaluate(CH.parse("1/(x1 - 3)"), {"x1": Fraction(1, 2)}) == Fraction(-2, 5)
