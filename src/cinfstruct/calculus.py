@@ -11,6 +11,7 @@ independent route used by cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import kernel, linalg, syntax
@@ -336,13 +337,18 @@ class SmoothMap:
 
     def jacobian(self) -> list:
         """Rows: target components; columns: source coordinates."""
-        return [
-            [
+        return [list(row) for row in self._jacobian]
+
+    @cached_property
+    def _jacobian(self) -> tuple[tuple[Expression, ...], ...]:
+        # Every pullback and pushforward through the map reads it.
+        return tuple(
+            tuple(
                 kernel.differentiate(comp, s, self.source.rules)
                 for s in self.source.coords
-            ]
+            )
             for comp in self.components
-        ]
+        )
 
     def graph_coords(self) -> tuple[str, ...]:
         """Target coordinates carried over unchanged (component == coordinate)."""

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import syntax
+from .calculus import KForm
 from .kernel import Expression
-from .zerotest import Certainty, Point, ZeroTestResult
+from .zerotest import PROVED, Certainty, Point, ZeroTestPolicy, ZeroTestResult, is_zero
 
-__all__ = ["CheckItem", "Certificate", "bundle", "fmt_loci"]
+__all__ = ["CheckItem", "Certificate", "bundle", "fmt_loci", "form_vanishes"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,18 @@ class Certificate:
         for k, v in self.payload:
             out[k] = v
         return out
+
+
+def form_vanishes(label: str, form: KForm, policy: ZeroTestPolicy) -> list[CheckItem]:
+    """The items showing that a form vanishes: one proved item under the bare
+    label when it has no coefficients, else one "label [basis]" item per
+    coefficient, in the form's order."""
+    if not form.coeffs:
+        return [CheckItem(label, PROVED)]
+    return [
+        CheckItem("%s [%s]" % (label, form.basis_label(idx)), is_zero(c, policy))
+        for idx, c in form.coeffs
+    ]
 
 
 def fmt_loci(exprs: Sequence[Expression]) -> tuple[str, ...]:

@@ -199,7 +199,7 @@ def _cmd_reduce(scn: Scenario, policy) -> tuple[int, list[str], dict]:
         doc["ok"] = False
         doc["complete"] = False
         return 1, lines, doc
-    report = final_report(state, policy)
+    report = final_report(state)
     lines.append("")
     lines.append("integral manifolds (parameters: %s):" % ", ".join(report.solution_map.source.coords))
     for eq in report.equations:
@@ -218,7 +218,7 @@ def _cmd_factors(scn: Scenario, policy, emit_solvable: bool) -> tuple[int, list[
     run_reduction(state, specs)
     if not state.complete:
         raise ScenarioError("the reduction script does not reach level 1")
-    entries = derive_factors(state, policy)
+    entries = derive_factors(state)
     ok = all(e.ok for e in entries)
     for e in sorted(entries, key=lambda e: -e.level):
         lines.append("level %d:" % e.level)

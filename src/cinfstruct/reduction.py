@@ -28,7 +28,7 @@ from .calculus import (
     pushforward_with_residual,
     wedge,
 )
-from .certs import Certificate, CheckItem, bundle
+from .certs import Certificate, CheckItem, bundle, form_vanishes
 from .charts import Chart, parse_rule
 from .errors import CertificationError, ChartError, NotTangentError
 from .factors import check_relative_integrating_factor, check_symmetrizing_factor
@@ -42,6 +42,7 @@ from .structures import (
 )
 from .zerotest import (
     DEFAULT_POLICY,
+    PROVED,
     Certainty,
     ZeroTestPolicy,
     ZeroTestResult,
@@ -180,15 +181,13 @@ def _require_certified(state: ReductionState) -> None:
         )
 
 
-def verify_first_integral(
-    state: ReductionState, integral, policy: Optional[ZeroTestPolicy] = None
-) -> Certificate:
+def verify_first_integral(state: ReductionState, integral) -> Certificate:
     """Certify a first integral for the current top level.
 
     Items: every member below the top kills I; dI wedge (top form) vanishes;
     dI itself does not; the top field does not kill I.
     """
-    policy = policy or state.policy
+    policy = state.policy
     stage = state.current
     if not stage.fields:
         raise ChartError("the reduction is already complete; nothing to verify")
@@ -202,17 +201,7 @@ def verify_first_integral(
         vname = V.name or "V%d" % (k + 1)
         items.append(CheckItem("%s(I) = 0" % vname, is_zero(apply_field(V, I), policy)))
     dI = d_of_function(chart, I)
-    w = wedge(dI, top_form)
-    if not w.coeffs:
-        items.append(
-            CheckItem("dI wedge top form = 0", ZeroTestResult(Certainty.PROVED_ZERO, 1.0))
-        )
-    for idx, c in w.coeffs:
-        items.append(
-            CheckItem(
-                "dI wedge top form = 0 [%s]" % w.basis_label(idx), is_zero(c, policy)
-            )
-        )
+    items.extend(form_vanishes("dI wedge top form = 0", wedge(dI, top_form), policy))
     nz = None
     for _idx, c in dI.coeffs:
         nz = is_zero(c, policy)
@@ -221,7 +210,7 @@ def verify_first_integral(
     items.append(
         CheckItem(
             "dI is nonvanishing",
-            nz if nz is not None else ZeroTestResult(Certainty.PROVED_ZERO, 1.0),
+            nz if nz is not None else PROVED,
             expect_zero=False,
         )
     )
@@ -254,19 +243,18 @@ def descend(
     solve_for: str,
     solution,
     add_rules: Sequence[str] = (),
-    policy: Optional[ZeroTestPolicy] = None,
-    verify: bool = True,
 ) -> ReductionStep:
     """Consume the top level along the level set {integral = constant}.
 
-    The level set is presented as a graph: solve_for is expressed by
-    `solution` on the lower chart (which gains the constant and any
-    `add_rules`).  The identity I(graph point) = constant must hold exactly;
-    remaining generators and fields push forward, remaining forms pull back,
-    the consumed form must pull back to zero, and the pushed family is
-    re-certified as a structure on the lower chart.
+    The integral is first certified by verify_first_integral.  The level set
+    is presented as a graph: solve_for is expressed by `solution` on the
+    lower chart (which gains the constant and any `add_rules`).  The identity
+    I(graph point) = constant must hold exactly; remaining generators and
+    fields push forward, remaining forms pull back, the consumed form must
+    pull back to zero, and the pushed family is re-certified as a structure
+    on the lower chart.  Every zero test runs under state.policy.
     """
-    policy = policy or state.policy
+    policy = state.policy
     _require_certified(state)
     stage = state.current
     if not stage.fields:
@@ -275,14 +263,11 @@ def descend(
     level = state.level_of_next_step()
     I = chart.coerce(integral)
 
-    if verify:
-        fic = verify_first_integral(state, I, policy)
-        if not fic.ok:
-            raise CertificationError(
-                "not a certified first integral at level %d" % level, certificate=fic
-            )
-    else:
-        fic = bundle("first-integral", [], level=level, skipped=True)
+    fic = verify_first_integral(state, I)
+    if not fic.ok:
+        raise CertificationError(
+            "not a certified first integral at level %d" % level, certificate=fic
+        )
 
     if solve_for not in chart.coords:
         raise ChartError("%r is not a coordinate of %r" % (solve_for, chart.name))
@@ -331,20 +316,7 @@ def descend(
     iota = SmoothMap(lower, chart, comps, name="step%d" % (len(state.steps) + 1))
 
     consumed = pullback_form(iota, stage.forms[-1])
-    if not consumed.coeffs:
-        items.append(
-            CheckItem(
-                "consumed form pulls back to zero",
-                ZeroTestResult(Certainty.PROVED_ZERO, 1.0),
-            )
-        )
-    for idx, c in consumed.coeffs:
-        items.append(
-            CheckItem(
-                "consumed form pulls back to zero [%s]" % consumed.basis_label(idx),
-                is_zero(c, policy),
-            )
-        )
+    items.extend(form_vanishes("consumed form pulls back to zero", consumed, policy))
 
     new_gens = tuple(pushforward_field(iota, Z, policy) for Z in stage.generators)
     new_fields = tuple(pushforward_field(iota, X, policy) for X in stage.fields[:-1])
@@ -352,24 +324,14 @@ def descend(
 
     for i, W in enumerate(new_fields):
         for j, w in enumerate(new_forms):
-            val = interior_product(W, w).coeff(())
-            if i == j:
-                items.append(
-                    CheckItem(
-                        "pushed %s pairs nonzero with pulled form %d"
-                        % (W.name or "X%d" % (i + 1), j + 1),
-                        is_zero(val, policy),
-                        expect_zero=False,
-                    )
+            how = "pairs nonzero with" if i == j else "annihilates"
+            items.append(
+                CheckItem(
+                    "pushed %s %s pulled form %d" % (W.name or "X%d" % (i + 1), how, j + 1),
+                    is_zero(interior_product(W, w).coeff(()), policy),
+                    expect_zero=i != j,
                 )
-            else:
-                items.append(
-                    CheckItem(
-                        "pushed %s annihilates pulled form %d"
-                        % (W.name or "X%d" % (i + 1), j + 1),
-                        is_zero(val, policy),
-                    )
-                )
+            )
     for Z in new_gens:
         for j, w in enumerate(new_forms):
             items.append(
@@ -506,9 +468,7 @@ class FactorEntry:
         }
 
 
-def derive_factors(
-    state: ReductionState, policy: Optional[ZeroTestPolicy] = None
-) -> list[FactorEntry]:
+def derive_factors(state: ReductionState) -> list[FactorEntry]:
     """Recover per-level factors from the recorded steps.
 
     On each stage the differential of the step integral is proportional to
@@ -517,7 +477,7 @@ def derive_factors(
     pairing of the level's field and form turns it into the symmetrizing
     factor.  Both ends are re-certified on the original chart.
     """
-    policy = policy or state.policy
+    policy = state.policy
     out = []
     for s, step in enumerate(state.steps):
         stage = state.stages[s]
@@ -543,20 +503,7 @@ def derive_factors(
             )
         ]
         resid = dI - top_form.scaled(mu_red)
-        if not resid.coeffs:
-            items.append(
-                CheckItem(
-                    "dI = (reduced factor) * top form",
-                    ZeroTestResult(Certainty.PROVED_ZERO, 1.0),
-                )
-            )
-        for idx, c in resid.coeffs:
-            items.append(
-                CheckItem(
-                    "dI = (reduced factor) * top form [%s]" % resid.basis_label(idx),
-                    is_zero(c, policy),
-                )
-            )
+        items.extend(form_vanishes("dI = (reduced factor) * top form", resid, policy))
         mu = lift_to_original(state, mu_red, s)
         level = step.level
         payload = {
@@ -564,8 +511,7 @@ def derive_factors(
             "mu_reduced": syntax.format_expression(mu_red),
             "mu": syntax.format_expression(mu),
         }
-        X = state.structure.fields[level - 1]
-        pairing = interior_product(X, state.dual.omega(level)).coeff(())
+        pairing = state.dual.pairing(level)
         f = kernel.ONE / (mu * pairing)
         payload["f"] = syntax.format_expression(f)
         leftovers = mu.symbols() - set(state.chart.allowed)
@@ -597,33 +543,14 @@ def verify_integral_manifold(
     """
     items = []
     for Z in dual.structure.distribution.generators:
-        zname = Z.name or "Z"
         try:
-            _, residual = pushforward_with_residual(imap, Z, policy)
-            items.append(CheckItem("%s is tangent to the manifold" % zname, residual))
+            _, tangency = pushforward_with_residual(imap, Z, policy)
         except NotTangentError as exc:
-            items.append(
-                CheckItem(
-                    "%s is tangent to the manifold" % zname,
-                    ZeroTestResult(Certainty.NONZERO, 1.0, exc.witness),
-                )
-            )
+            tangency = ZeroTestResult(Certainty.NONZERO, 1.0, exc.witness)
+        items.append(CheckItem("%s is tangent to the manifold" % (Z.name or "Z"), tangency))
     for i, w in enumerate(dual.omegas, start=1):
         pulled = pullback_form(imap, w)
-        if not pulled.coeffs:
-            items.append(
-                CheckItem(
-                    "form %d pulls back to zero" % i,
-                    ZeroTestResult(Certainty.PROVED_ZERO, 1.0),
-                )
-            )
-        for idx, c in pulled.coeffs:
-            items.append(
-                CheckItem(
-                    "form %d pulls back to zero [%s]" % (i, pulled.basis_label(idx)),
-                    is_zero(c, policy),
-                )
-            )
+        items.extend(form_vanishes("form %d pulls back to zero" % i, pulled, policy))
     return bundle("integral-manifold", items, map=imap.as_json())
 
 
@@ -649,11 +576,8 @@ class ReductionReport:
         }
 
 
-def final_report(
-    state: ReductionState, policy: Optional[ZeroTestPolicy] = None
-) -> ReductionReport:
+def final_report(state: ReductionState) -> ReductionReport:
     """Compose the descents and certify the resulting solution manifold."""
-    policy = policy or state.policy
     if not state.steps:
         cert = bundle("reduction-report", [], note="no steps recorded")
         return ReductionReport(state, None, (), cert)
@@ -664,7 +588,7 @@ def final_report(
     for coord, comp in zip(state.chart.coords, total.components):
         if comp != kernel.sym(coord):
             equations.append("%s = %s" % (coord, syntax.format_expression(comp)))
-    manifold = verify_integral_manifold(state.dual, total, policy)
+    manifold = verify_integral_manifold(state.dual, total, state.policy)
     payload = {
         "parameters": list(total.source.coords),
         "constants": list(state.step_constants()),

@@ -4,14 +4,17 @@ A scenario binds everything a command-line run needs: the chart, rewrite
 rules, named vector fields (and optionally named 1-forms), the ordered
 structure (which names are generators, which are the structure fields), the
 reduction script, and zero-test policy overrides.  Loading is strict: unknown
-keys, unresolved names, bad component counts, and non-contiguous levels are
-all reported as :class:`~cinfstruct.errors.ScenarioError` before any
-certification work starts.
+keys, unresolved names, bad component counts, non-contiguous levels and
+parametrizations that are not graphs are all reported as
+:class:`~cinfstruct.errors.ScenarioError` before any certification work
+starts.
 
 Parametrizations are given as full component lists (one expression per
 coordinate of the chart being descended from).  Every supported
 parametrization is a graph: exactly one component differs from its
-coordinate, and that coordinate is the one solved for.
+coordinate, and that coordinate is the one solved for.  Loading turns each
+reduction entry into the reduction module's StepSpec, the one form the
+descent reads.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .calculus import KForm, VectorField
 from .charts import Chart, parse_rule
@@ -28,22 +31,11 @@ from .reduction import StepSpec
 from .structures import Distribution
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
-__all__ = ["ReductionEntry", "Scenario", "build_scenario", "load_scenario"]
+__all__ = ["Scenario", "build_scenario", "load_scenario"]
 
 _TOP_KEYS = {"chart", "fields", "forms", "structure", "rules", "reduction", "policy"}
 _ENTRY_KEYS = {"level", "integral", "constant", "parametrization", "rewrite_rules"}
 _POLICY_KEYS = {"seed", "samples", "tol"}
-
-
-@dataclass(frozen=True)
-class ReductionEntry:
-    """One reduction step as written in a scenario file."""
-
-    level: int
-    integral: str
-    constant: str
-    parametrization: tuple[str, ...]
-    rewrite_rules: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,7 @@ class Scenario:
     forms: Mapping[str, KForm]
     generator_names: tuple[str, ...]
     field_names: tuple[str, ...]
-    reduction: tuple[ReductionEntry, ...]
+    steps: tuple[StepSpec, ...]
     policy: ZeroTestPolicy
 
     @property
@@ -71,7 +63,7 @@ class Scenario:
         return Distribution(self.chart, self.generators)
 
     def step_specs(self) -> tuple[StepSpec, ...]:
-        return _entries_to_specs(self.chart, self.reduction)
+        return self.steps
 
     def merged_policy(
         self,
@@ -206,7 +198,9 @@ def _build_structure(data, fields) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return gens, fs
 
 
-def _build_reduction(data, n_fields: int) -> tuple[ReductionEntry, ...]:
+def _build_reduction(data, n_fields: int) -> list[tuple]:
+    """The entries, checked key by key: (level, integral, constant,
+    parametrization, rewrite rules) each."""
     raw = _want(data, "reduction", list, "the scenario", default=[])
     entries = []
     for i, item in enumerate(raw):
@@ -228,26 +222,24 @@ def _build_reduction(data, n_fields: int) -> tuple[ReductionEntry, ...]:
             "%s parametrization" % where,
         )
         rules = _string_list(item.get("rewrite_rules", []), "%s rewrite_rules" % where)
-        entries.append(ReductionEntry(level, integral, constant, par, rules))
-    return tuple(entries)
+        entries.append((level, integral, constant, par, rules))
+    return entries
 
 
-def _entries_to_specs(
-    chart: Chart, entries: Sequence[ReductionEntry]
-) -> tuple[StepSpec, ...]:
+def _graph_specs(chart: Chart, entries) -> tuple[StepSpec, ...]:
     """Turn full parametrization component lists into graph descents."""
     coords = list(chart.coords)
     specs = []
-    for entry in entries:
-        where = "level-%d parametrization" % entry.level
-        if len(entry.parametrization) != len(coords):
+    for level, integral, constant, par, rules in entries:
+        where = "level-%d parametrization" % level
+        if len(par) != len(coords):
             raise ScenarioError(
                 "%s has %d components; the chart at that step has %d coordinates"
-                % (where, len(entry.parametrization), len(coords))
+                % (where, len(par), len(coords))
             )
         moved = [
             i
-            for i, (coord, comp) in enumerate(zip(coords, entry.parametrization))
+            for i, (coord, comp) in enumerate(zip(coords, par))
             if comp.strip() != coord
         ]
         if len(moved) != 1:
@@ -258,11 +250,11 @@ def _entries_to_specs(
         solve_for = coords[moved[0]]
         specs.append(
             StepSpec(
-                integral=entry.integral,
-                constant=entry.constant,
+                integral=integral,
+                constant=constant,
                 solve_for=solve_for,
-                solution=entry.parametrization[moved[0]],
-                add_rules=entry.rewrite_rules,
+                solution=par[moved[0]],
+                add_rules=rules,
             )
         )
         coords.remove(solve_for)
@@ -284,18 +276,16 @@ def build_scenario(data: Mapping) -> Scenario:
     forms = _build_forms(chart, data)
     gens, fs = _build_structure(data, fields)
     entries = _build_reduction(data, len(fs))
-    scenario = Scenario(
+    policy = _build_policy(data)
+    return Scenario(
         chart=chart,
         fields=fields,
         forms=forms,
         generator_names=gens,
         field_names=fs,
-        reduction=entries,
-        policy=_build_policy(data),
+        steps=_graph_specs(chart, entries),
+        policy=policy,
     )
-    # Fail early on malformed parametrizations; descents re-derive the specs.
-    scenario.step_specs()
-    return scenario
 
 
 def load_scenario(path) -> Scenario:

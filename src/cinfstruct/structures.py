@@ -372,6 +372,10 @@ class DualForms:
     def omega(self, i0: int) -> KForm:
         return self.omegas[i0 - 1]
 
+    def pairing(self, i0: int) -> Expression:
+        """X_i0 . omega_i0, the scalar that converts between the factor kinds."""
+        return interior_product(self.structure.fields[i0 - 1], self.omega(i0)).coeff(())
+
 
 def dual_one_forms(
     structure: CinfStructure, policy: ZeroTestPolicy = DEFAULT_POLICY

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
@@ -33,6 +33,7 @@ from .kernel import Expression, Gen
 
 __all__ = [
     "Certainty",
+    "PROVED",
     "Point",
     "ZeroTestPolicy",
     "ZeroTestResult",
@@ -46,6 +47,9 @@ __all__ = [
 
 _SAMPLE_DEN = 32
 _SAMPLE_MAX = 64  # numerators in [-64, 64] -> 129 candidate values in [-2, 2]
+_EPS_SING = Fraction(1, 1000)  # a sampled denominator this near 0 is singular
+_DIGITS = 50  # mpmath working precision
+_MAX_REDRAWS = 80  # singular draws before a sample gives up
 
 
 class Certainty(str, Enum):
@@ -63,19 +67,15 @@ class Certainty(str, Enum):
 
 @dataclass(frozen=True)
 class ZeroTestPolicy:
-    """Knobs for sampled identity testing; defaults match the toolkit contract."""
+    """What a scenario or the command line may set for sampled identity
+    testing: the draw seed, the samples per test and the numeric tolerance."""
 
     seed: int = 0
     samples: int = 20
     tol: float = 1e-9
-    eps_sing: Fraction = Fraction(1, 1000)
-    digits: int = 50
-    max_redraws: int = 80
 
     def replace(self, **kw) -> "ZeroTestPolicy":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **kw)
+        return replace(self, **kw)
 
 
 DEFAULT_POLICY = ZeroTestPolicy()
@@ -133,7 +133,7 @@ class ZeroTestResult:
         return out
 
 
-_PROVED = ZeroTestResult(Certainty.PROVED_ZERO, 1.0)
+PROVED = ZeroTestResult(Certainty.PROVED_ZERO, 1.0)
 # Sampled confidence rounds to 1.0 after a few samples, so the kind of
 # evidence ranks first.
 _STRENGTH = {Certainty.FLOAT_CHECKED: 0, Certainty.PROBABLY_ZERO: 1, Certainty.PROVED_ZERO: 2}
@@ -143,7 +143,7 @@ def weakest(results) -> ZeroTestResult:
     """The weakest of some zero verdicts: float-checked before sampled before
     proved, then the lowest confidence, the first among equals; a proved
     zero when there are none."""
-    out = _PROVED
+    out = PROVED
     for r in results:
         if (_STRENGTH[r.certainty], r.confidence) < (_STRENGTH[out.certainty], out.confidence):
             out = r
@@ -406,7 +406,7 @@ def _to_mpf(v):
 def evaluate(
     e: Expression,
     values: Mapping[str, object],
-    digits: int = 50,
+    digits: int = _DIGITS,
     eps_sing: Optional[Fraction] = None,
 ):
     """Evaluate at a point; exact Fraction when no elementary functions occur.
@@ -453,7 +453,7 @@ def _confidence(e: Expression, samples: int) -> float:
 def is_zero(e: Expression, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroTestResult:
     """Decide whether e is (generically) the zero function; see module docs."""
     if e.is_zero_expr():
-        return ZeroTestResult(Certainty.PROVED_ZERO, 1.0)
+        return PROVED
     if e.is_const():
         return ZeroTestResult(
             Certainty.PROVED_NONZERO,
@@ -465,14 +465,14 @@ def is_zero(e: Expression, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroTestR
     slots = sample_slots(e)
     exact = not e.has_elementary()
     if exact:
-        fn = compile_evaluator(e, slots, "exact", policy.eps_sing, _SAMPLE_DEN)
+        fn = compile_evaluator(e, slots, "exact", _EPS_SING, _SAMPLE_DEN)
     else:
-        with mpmath.workdps(policy.digits):
-            fn = compile_evaluator(e, slots, "mpmath", policy.eps_sing)
+        with mpmath.workdps(_DIGITS):
+            fn = compile_evaluator(e, slots, "mpmath", _EPS_SING)
     used = 0
     rounds = policy.samples if not exact else 11 * policy.samples
     for trial in range(rounds):
-        pt, value, scale = _sample_once(fn, rng, slots, policy, exact)
+        pt, value, scale = _sample_once(fn, rng, slots, exact)
         used += 1
         if exact:
             if value != 0:
@@ -501,19 +501,19 @@ def is_zero(e: Expression, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroTestR
     )
 
 
-def _sample_once(fn, rng, slots, policy, exact):
+def _sample_once(fn, rng, slots, exact):
     """Draw points until one clears the singularity guard, then evaluate."""
-    for _ in range(policy.max_redraws):
+    for _ in range(_MAX_REDRAWS):
         pt = _draw_point(rng, slots)
         try:
             if exact:
                 value, scale = fn(*pt.values())
             else:
-                with mpmath.workdps(policy.digits):
+                with mpmath.workdps(_DIGITS):
                     value, scale = fn(*(mpmath.mpf(k) / _SAMPLE_DEN for k in pt.values()))
         except SingularPointError:
             continue
         return pt, value, scale
     raise SamplingError(
-        "all %d candidate points hit the singularity guard" % policy.max_redraws
+        "all %d candidate points hit the singularity guard" % _MAX_REDRAWS
     )

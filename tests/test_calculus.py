@@ -237,3 +237,22 @@ def test_identity_map_jacobian_and_composition():
     assert compose_maps(ident, m).pull_scalar(CH3.parse("z")) == src.parse("s - t")
     with pytest.raises(ChartError):
         compose_maps(m, m)
+
+
+def test_a_map_differentiates_its_components_once(monkeypatch):
+    calls = []
+    real = kernel.differentiate
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    dz = d_of_function(CH3, CH3.parse("z"))
+    monkeypatch.setattr(kernel, "differentiate", counting)
+    src = Chart("A", ("s", "t"))
+    m = SmoothMap(src, CH3, (src.parse("s"), src.parse("t"), src.parse("s*t")))
+    jac = m.jacobian()
+    jac[2][0] = kernel.ZERO  # the caller's copy, not the map's
+    pullback_form(m, dz)
+    assert m.jacobian()[2][0] == src.parse("t")
+    assert len(calls) == 3 * 2

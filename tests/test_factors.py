@@ -273,3 +273,25 @@ def test_the_gradient_check_says_it_is_a_float_check():
     assert (out["spot_checks_evaluated"], out["spot_checks"]) == (2, 4)
     (grad,) = [c for c in out["checks"] if c["check"].startswith("gradient of F")]
     assert grad["certainty"] == "float-checked" and grad["samples"] == 2
+
+
+def test_the_gradient_check_scales_with_the_form_near_a_singularity():
+    # d(u*ln(x)) from (0.5, 0): one spot lies at x = 0.005, where |M| = u/x
+    # is about 99 and the central difference is off by about 1.3e-4, far
+    # above 1e-5 but within 1e-5 of the form's size there.
+    ch = Chart("P", ("x", "u"))
+    res = primitive_by_quadrature(d_of_function(ch, ch.parse("u*ln(x)")), base=(0.5, 0.0))
+    out = res.certificate.as_json()
+    assert res.ok
+    assert out["spot_checks_evaluated"] == 4
+    # The reported error stays absolute.
+    assert 1e-4 < float(out["max_gradient_error"]) < 2e-4
+
+
+def test_factor_from_first_integral_proves_a_canonically_zero_precondition(dim4):
+    # dI2 wedge omega_2 is zero in canonical form: one proved item, no
+    # per-coefficient items.
+    res = factor_from_first_integral(dim4.dual, 2, helpers.DIM4_INTEGRAL_2)
+    pre = [it for it in res.certificate.items if it.label.startswith("dF wedge omega_2 = 0")]
+    assert [it.label for it in pre] == ["dF wedge omega_2 = 0"]
+    assert pre[0].result.certainty is Certainty.PROVED_ZERO

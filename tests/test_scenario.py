@@ -2,14 +2,15 @@
 
 import copy
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from cinfstruct.errors import ScenarioError
 from cinfstruct.reduction import init_reduction, run_reduction
-from cinfstruct.scenario import build_scenario, load_scenario
-from cinfstruct.zerotest import DEFAULT_POLICY
+from cinfstruct.scenario import _POLICY_KEYS, build_scenario, load_scenario
+from cinfstruct.zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
 import helpers
 
@@ -183,3 +184,7 @@ def test_load_errors(tmp_path):
     listy.write_text(json.dumps([1, 2]))
     with pytest.raises(ScenarioError, match="must be a JSON object"):
         load_scenario(listy)
+
+
+def test_the_policy_has_exactly_the_fields_a_scenario_may_set():
+    assert {f.name for f in fields(ZeroTestPolicy)} == _POLICY_KEYS
