@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from . import kernel, linalg, syntax
 from .charts import Chart

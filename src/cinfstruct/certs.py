@@ -9,7 +9,7 @@ deterministic JSON for reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import syntax

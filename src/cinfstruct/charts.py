@@ -10,7 +10,7 @@ coordinates are traded for constants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from . import kernel, syntax

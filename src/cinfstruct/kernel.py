@@ -33,13 +33,9 @@ import functools
 import heapq
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .errors import (
-    RewriteError,
-    SingularExpressionError,
-    UnknownSymbolError,
-)
+from .errors import RewriteError, SingularExpressionError
 
 __all__ = [
     "Expression",
@@ -1188,47 +1184,95 @@ def differentiate(e: Expression, var: str, rules: Rules = ()) -> Expression:
 
 
 def substitute(e: Expression, bindings: Mapping[str, Expression], rules: Rules = ()) -> Expression:
-    """Simultaneous substitution of symbols by expressions."""
+    """Simultaneous substitution of symbols by expressions.
+
+    Each generator is substituted once per call (a memo keyed by the
+    interned generator).  Numerator and denominator are each summed over
+    one common denominator: images with equal denominators share one
+    group, and a group's denominator D is raised only to the largest total
+    exponent any term puts on that group's generators.  Polynomial images
+    form no group.  Each substituted expression (the argument of an
+    application is one) is normalized once, with one gcd, instead of once
+    per term.
+    """
     coerced = {}
     for k, v in bindings.items():
         if isinstance(v, (int, Fraction)):
             v = const_expr(v)
         coerced[k] = v
-    memo: dict = {}
-    result = _subst_expr(e, coerced, tuple(rules), memo)
-    return result
+    return _subst_expr(e, coerced, tuple(rules), {})
 
 
 def _subst_expr(e: Expression, b, rules, memo) -> Expression:
-    got = memo.get(id(e))
-    if got is not None:
-        return got
-    n = _subst_poly(e.num, b, rules, memo)
-    d = _subst_poly(e.den, b, rules, memo)
-    if d.is_zero_expr():
+    nn, nd = _subst_poly(e.num, b, rules, memo)
+    dn, dd = _subst_poly(e.den, b, rules, memo)
+    if dn.is_zero():
         raise SingularExpressionError("substitution makes a denominator identically zero")
-    out = n / d
-    memo[id(e)] = out
-    return out
+    return Expression(nn * dd, dn * nd)
 
 
-def _subst_poly(p: Poly, b, rules, memo) -> Expression:
-    total = ZERO
-    for m, c in p.terms.items():
-        piece = const_expr(c)
+def _subst_poly(p: Poly, b, rules, memo):
+    """p with its generators substituted, as (numerator, denominator) Polys."""
+    images = {}  # generator -> (image numerator, index of its denominator in dens)
+    dens = []
+    for m in p.terms:
+        for g, _ in m:
+            if g not in images:
+                image = _subst_gen(g, b, rules, memo)
+                den = image.den
+                k = None  # a polynomial image joins no group
+                if not den.is_one():
+                    k = next((i for i, d in enumerate(dens) if d.terms == den.terms), len(dens))
+                    if k == len(dens):
+                        dens.append(den)
+                images[g] = (image.num, k)
+    counts = []
+    top = [0] * len(dens)
+    for m in p.terms:
+        n = [0] * len(dens)
         for g, e in m:
-            piece = piece * (_subst_gen(g, b, rules, memo) ** e)
-        total = total + piece
-    return total
+            k = images[g][1]
+            if k is not None:
+                n[k] += e
+        top = [max(a, c) for a, c in zip(top, n)]
+        counts.append(n)
+    powers: dict = {}
+
+    def power(base: Poly, e: int) -> Poly:
+        got = powers.get((base, e))  # Poly hashes by identity
+        if got is None:
+            got = powers[(base, e)] = base.pow_int(e)
+        return got
+
+    out: dict = {}
+    for (m, c), n in zip(p.terms.items(), counts):
+        piece = _POLY_ONE
+        for g, e in m:
+            piece = piece * power(images[g][0], e)
+        for k, d in enumerate(dens):
+            piece = piece * power(d, top[k] - n[k])
+        for mm, cc in piece.terms.items():
+            out[mm] = out.get(mm, 0) + c * cc
+    den = _POLY_ONE
+    for k, d in enumerate(dens):
+        den = den * power(d, top[k])
+    return Poly({m: c for m, c in out.items() if c}), den
 
 
 def _subst_gen(g: Gen, b, rules, memo) -> Expression:
-    if g.kind == _SYM:
-        image = b.get(g.name)
-        return image if image is not None else from_gen(g)
-    new_args = tuple(_subst_expr(a, b, rules, memo) for a in g.args)
-    if new_args == g.args:
-        return from_gen(g)
-    if g.kind == _APP:
-        return app(g.name, new_args, g.orders, rules)
-    return elem(g.name, new_args[0])
+    image = memo.get(g)
+    if image is None:
+        if g.kind == _SYM:
+            image = b.get(g.name)
+            if image is None:
+                image = from_gen(g)
+        else:
+            new_args = tuple(_subst_expr(a, b, rules, memo) for a in g.args)
+            if new_args == g.args:
+                image = from_gen(g)
+            elif g.kind == _APP:
+                image = app(g.name, new_args, g.orders, rules)
+            else:
+                image = elem(g.name, new_args[0])
+        memo[g] = image
+    return image

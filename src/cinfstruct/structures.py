@@ -23,9 +23,9 @@ from .calculus import (
     lie_bracket,
     volume_form,
 )
-from .certs import Certificate, CheckItem, bundle, fmt_loci
+from .certs import Certificate, CheckItem, bundle
 from .charts import Chart
-from .errors import ChartError, InconsistentSystemError, RankDeficientError
+from .errors import ChartError, InconsistentSystemError
 from .kernel import Expression
 from .zerotest import (
     DEFAULT_POLICY,

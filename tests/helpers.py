@@ -18,7 +18,7 @@ from cinfstruct import reduction as rd
 from cinfstruct import structures as st
 from cinfstruct.calculus import KForm, VectorField
 from cinfstruct.charts import Chart, parse_rule
-from cinfstruct.errors import EvaluationError, SingularPointError
+from cinfstruct.errors import EvaluationError, SingularExpressionError, SingularPointError
 
 
 def field(chart, name, *comps):
@@ -281,3 +281,48 @@ def _ev_gen(g, values, tofloat, eps):
     if isinstance(v, Fraction):
         return tofloat(v.numerator) / v.denominator
     return tofloat(v)
+
+
+# ---------------------------------------------------------------------------
+# Reference substitution: kernel.substitute as it was before it summed over
+# one denominator.  Every term is a canonical Expression and every partial
+# sum is normalized, so its sums share no code with the kernel's; a rewrite
+# rule applied to a substituted argument still goes through kernel.app.
+
+
+def substitute_termwise(e, bindings, rules=()):
+    """Simultaneous substitution of symbols by expressions, term by term."""
+    rules = tuple(rules)
+    b = {k: kernel.const_expr(v) if isinstance(v, (int, Fraction)) else v
+         for k, v in bindings.items()}
+    return _subst_expr_termwise(e, b, rules)
+
+
+def _subst_expr_termwise(e, b, rules):
+    n = _subst_poly_termwise(e.num, b, rules)
+    d = _subst_poly_termwise(e.den, b, rules)
+    if d.is_zero_expr():
+        raise SingularExpressionError("substitution makes a denominator identically zero")
+    return n / d
+
+
+def _subst_poly_termwise(p, b, rules):
+    total = kernel.ZERO
+    for m, c in p.terms.items():
+        piece = kernel.const_expr(c)
+        for g, e in m:
+            piece = piece * (_subst_gen_termwise(g, b, rules) ** e)
+        total = total + piece
+    return total
+
+
+def _subst_gen_termwise(g, b, rules):
+    if g.kind == kernel.SYM_KIND:
+        image = b.get(g.name)
+        return image if image is not None else kernel.from_gen(g)
+    new_args = tuple(_subst_expr_termwise(a, b, rules) for a in g.args)
+    if new_args == g.args:
+        return kernel.from_gen(g)
+    if g.kind == kernel.APP_KIND:
+        return kernel.app(g.name, new_args, g.orders, rules)
+    return kernel.elem(g.name, new_args[0])

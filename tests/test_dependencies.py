@@ -1,5 +1,5 @@
-"""The package imports only what it declares, and the CLI loads no heavy
-numeric stack it does not use."""
+"""The package imports only what it declares and uses, and the CLI loads no
+heavy numeric stack it does not use."""
 
 import ast
 import os
@@ -52,3 +52,34 @@ def test_third_party_imports_match_the_declared_dependencies():
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in declared}
     assert names == {"mpmath"}
     assert _third_party_imports() == names
+
+
+def _unused_imports() -> list:
+    """module.name for each module-level import the module never reads,
+    leaving out __init__.py, whose imports are the package's exports."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append("%s.%s" % (path.stem, name))
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert _unused_imports() == []

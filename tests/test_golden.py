@@ -6,6 +6,10 @@ properties), reduce and factors --emit-solvable on each scenario, then
 verify (both kinds) and convert (both directions) of every factor that
 factors derives.  A refactoring that keeps the certificates must keep every
 digest; a change that means to move a report updates the table on purpose.
+
+A second table holds reduce and factors --emit-solvable on example31 with
+all three upper coordinates sheared, where nearly all of the work is
+substitution into rational functions.
 """
 
 import contextlib
@@ -17,6 +21,9 @@ from pathlib import Path
 from cinfstruct.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# example31 pushed through x2 += 2*x1, then x3 += -x1 + 2*x2, then
+# x4 += x1 - 2*x3, one shear at a time as bench/gen.py's push_scenario does.
+TRIPLE_SHEAR = Path(__file__).resolve().parent / "data" / "example31_triple_shear.json"
 
 GOLDEN = {
     "airy check cinf-structure":
@@ -81,6 +88,11 @@ GOLDEN = {
         "9a0d6514419a7a94aa4dee0b09bf6756c2a4cf3e66520aa143fdbd534e3266ac",
 }
 
+TRIPLE_SHEAR_GOLDEN = {
+    "reduce": "613c2e279de3db3c107eed03d373e1b643f7a1614f597eb1cf1114ea4e166e30",
+    "factors": "aeb5e1217fb43f62af542a9404ad0607c6b5b845a3b18094c4b0d3a9f26ebd70",
+}
+
 
 def _run(argv, report: Path):
     if report.exists():
@@ -119,3 +131,13 @@ def test_cli_output_matches_the_golden_digests(tmp_path):
     assert sorted(got) == sorted(GOLDEN)
     moved = sorted(k for k in GOLDEN if got[k] != GOLDEN[k])
     assert moved == []
+
+
+def test_triple_shear_output_matches_the_golden_digests(tmp_path):
+    report = tmp_path / "report.json"
+    path = str(TRIPLE_SHEAR)
+    got = {
+        "reduce": _run(["reduce", path], report)[0],
+        "factors": _run(["factors", path, "--emit-solvable"], report)[0],
+    }
+    assert got == TRIPLE_SHEAR_GOLDEN
