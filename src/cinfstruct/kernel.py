@@ -12,6 +12,12 @@ in a fixed graded-lexicographic monomial order.  Two expressions therefore
 compare equal exactly when they are the same rational function of their
 generators.
 
+A :class:`Poly` is a primitive integer part (int coefficients with gcd 1)
+times a positive rational content kept as two ints, so no coefficient
+arithmetic runs on Fractions.  A product of primitive parts is primitive
+(Gauss's lemma), so a product takes no gcd; a sum takes one integer gcd, and
+the gcd memo is keyed by the primitive parts themselves.
+
 The gcd behind every canonical form is the heuristic integer gcd GCDHEU
 (Char, Geddes & Gonnet 1989): it evaluates the integer-coefficient inputs at
 large integers, takes an integer gcd, rebuilds the polynomial from its
@@ -178,12 +184,22 @@ def _mono_key(m):
 
 
 class Poly:
-    """Sparse polynomial: monomial -> nonzero Fraction coefficient."""
+    """Sparse polynomial cn/cd * sum(t * m) with a primitive integer part.
 
-    __slots__ = ("terms", "_skey")
+    `terms` maps each monomial to a nonzero int, and those ints have gcd 1;
+    signs stay in `terms`.  The content cn/cd is two coprime positive ints.
+    The zero polynomial has empty `terms` (and content 1).  A Poly is never
+    mutated, so copies that differ only in content share one `terms` dict.
+    ``rational_terms()`` reads the rational coefficients in `terms` order.
+    """
 
-    def __init__(self, terms: dict):
+    __slots__ = ("terms", "cn", "cd", "_lead", "_skey")
+
+    def __init__(self, terms: dict, cn: int = 1, cd: int = 1, lead=None):
         self.terms = terms
+        self.cn = cn
+        self.cd = cd
+        self._lead = lead  # leading monomial, found on first use
         self._skey = None
 
     # -- constructors ------------------------------------------------------
@@ -191,11 +207,13 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = Fraction(c)
-        return Poly({_MONO_ONE: c} if c else {})
+        if not c:
+            return _POLY_ZERO
+        return Poly({_MONO_ONE: 1 if c > 0 else -1}, abs(c.numerator), c.denominator, _MONO_ONE)
 
     @staticmethod
     def from_gen(g: Gen) -> "Poly":
-        return Poly({((g, 1),): Fraction(1)})
+        return Poly({((g, 1),): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -208,12 +226,22 @@ class Poly:
     def const_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        return self.terms[_MONO_ONE]
+        return self.coeff(_MONO_ONE)
 
     def is_one(self) -> bool:
-        return self.terms.get(_MONO_ONE) == 1 and len(self.terms) == 1
+        terms = self.terms
+        return len(terms) == 1 and terms.get(_MONO_ONE) == 1 and self.cn == 1 and self.cd == 1
 
     # -- inspection --------------------------------------------------------
+
+    def coeff(self, m) -> Fraction:
+        """The rational coefficient of the monomial m, a term of self."""
+        return Fraction(self.terms[m] * self.cn, self.cd)
+
+    def rational_terms(self) -> list:
+        """(monomial, Fraction coefficient) pairs in `terms` order."""
+        cn, cd = self.cn, self.cd
+        return [(m, Fraction(t * cn, cd)) for m, t in self.terms.items()]
 
     def gens(self) -> set:
         out = set()
@@ -225,24 +253,41 @@ class Poly:
     def total_degree(self) -> int:
         return max((_mono_degree(m) for m in self.terms), default=0)
 
+    def _lead_mono(self):
+        m = self._lead
+        if m is None:
+            m = self._lead = max(self.terms, key=_mono_key)
+        return m
+
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
-        m = max(self.terms, key=_mono_key)
-        return m, self.terms[m]
+        m = self._lead_mono()
+        return m, self.coeff(m)
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order (for printing and keys)."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=_mono_key, reverse=True)]
+        """(monomial, Fraction coefficient) in descending graded-lex order."""
+        return [(m, self.coeff(m)) for m in sorted(self.terms, key=_mono_key, reverse=True)]
 
     def struct_key(self) -> tuple:
+        """Per term in descending graded-lex order: the monomial's (gen key,
+        exponent) pairs, then the coefficient's numerator and denominator
+        in lowest terms."""
         key = self._skey
         if key is None:
-            key = tuple(
-                (tuple((g.key, e) for g, e in m), c.numerator, c.denominator)
-                for m, c in self.sorted_terms()
-            )
-            self._skey = key
+            terms, cn, cd = self.terms, self.cn, self.cd
+            rows = []
+            for m in sorted(terms, key=_mono_key, reverse=True):
+                n = terms[m] * cn
+                g = math.gcd(n, cd)
+                rows.append((tuple((gen.key, e) for gen, e in m), n // g, cd // g))
+            key = self._skey = tuple(rows)
         return key
+
+    def primitive(self) -> "Poly":
+        """The integer part, signs kept: self over its content."""
+        if self.cn == 1 and self.cd == 1:
+            return self
+        return Poly(self.terms, 1, 1, self._lead)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -251,21 +296,50 @@ class Poly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        # Both integer parts over the common content n/d, the gcd of the
+        # numerators over the lcm of the denominators (n and d are coprime).
+        a, b, c, d = self.cn, self.cd, other.cn, other.cd
+        if a == c and b == d:
+            n, ka, kc = a, 1, 1
+        else:
+            n = math.gcd(a, c)
+            d = b * d // math.gcd(b, d)
+            ka, kc = a // n * (d // b), c // n * (d // other.cd)
+        out = dict(self.terms) if ka == 1 else {m: ka * t for m, t in self.terms.items()}
+        for m, t in other.terms.items():
+            if kc != 1:
+                t *= kc
             s = out.get(m)
             if s is None:
-                out[m] = c
+                out[m] = t
             else:
-                s = s + c
+                s += t
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        return Poly(out)
+        if not out:
+            return _POLY_ZERO
+        h = math.gcd(*out.values())
+        if h != 1:
+            out = {m: t // h for m, t in out.items()}
+            g = math.gcd(h, d)
+            n, d = n * (h // g), d // g
+        return Poly(out, n, d)
+
+    def _scaled(self, neg: bool, n: int, d: int) -> "Poly":
+        """self * n/d, negated when neg, for coprime positive n and d."""
+        if not self.terms:
+            return self
+        cn, cd = _qmul(self.cn, self.cd, n, d)
+        if neg:
+            return Poly({m: -t for m, t in self.terms.items()}, cn, cd, self._lead)
+        if cn == self.cn and cd == self.cd:
+            return self
+        return Poly(self.terms, cn, cd, self._lead)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return self._scaled(True, 1, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -273,10 +347,11 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return _POLY_ZERO
-        if self.is_one():
-            return other
-        if other.is_one():
-            return self
+        if self.is_const():
+            return other._scaled(self.terms[_MONO_ONE] < 0, self.cn, self.cd)
+        if other.is_const():
+            return self._scaled(other.terms[_MONO_ONE] < 0, other.cn, other.cd)
+        # Gauss's lemma: a product of primitive polynomials is primitive.
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -286,20 +361,12 @@ class Poly:
                 if s is None:
                     out[m] = c
                 else:
-                    s = s + c
+                    s += c
                     if s:
                         out[m] = s
                     else:
                         del out[m]
-        return Poly(out)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return _POLY_ZERO
-        if c == 1:
-            return self
-        return Poly({m: q * c for m, q in self.terms.items()})
+        return Poly(out, *_qmul(self.cn, self.cd, other.cn, other.cd))
 
     def pow_int(self, k: int) -> "Poly":
         if k < 0:
@@ -334,26 +401,58 @@ class Poly:
                     e = ee
                 else:
                     rest.append((gg, ee))
-            bucket = out.setdefault(e, {})
-            rm = tuple(rest)
-            bucket[rm] = bucket.get(rm, Fraction(0)) + c
-        return {e: Poly({m: c for m, c in terms.items() if c}) for e, terms in out.items()}
+            out.setdefault(e, {})[tuple(rest)] = c
+        return {e: _from_ints(terms, self.cn, self.cd) for e, terms in out.items()}
 
     @staticmethod
     def from_univ(univ: dict, g: Gen) -> "Poly":
-        out: dict = {}
+        pieces = []
         for e, coeff in univ.items():
-            if coeff.is_zero():
-                continue
             gm = ((g, e),) if e else _MONO_ONE
-            for m, c in coeff.terms.items():
-                mm = _mono_mul(m, gm)
-                out[mm] = out.get(mm, Fraction(0)) + c
-        return Poly({m: c for m, c in out.items() if c})
+            shifted = {_mono_mul(m, gm): c for m, c in coeff.terms.items()}
+            pieces.append((1, Poly(shifted, coeff.cn, coeff.cd)))
+        return _sum(pieces)
 
 
 _POLY_ZERO = Poly({})
-_POLY_ONE = Poly({_MONO_ONE: Fraction(1)})
+_POLY_ONE = Poly({_MONO_ONE: 1}, 1, 1, _MONO_ONE)
+
+
+def _qmul(a: int, b: int, c: int, d: int):
+    """(a/b)(c/d) in lowest terms, for a/b and c/d positive in lowest terms."""
+    if b == 1 and d == 1:
+        return a * c, 1
+    g1, g2 = math.gcd(a, d), math.gcd(c, b)
+    return (a // g1) * (c // g2), (b // g2) * (d // g1)
+
+
+def _from_ints(terms: dict, n: int, d: int) -> Poly:
+    """n/d * terms as a Poly: terms maps monomials to nonzero ints, n and d
+    are positive."""
+    if not terms:
+        return _POLY_ZERO
+    h = math.gcd(*terms.values())
+    if h != 1:
+        terms = {m: t // h for m, t in terms.items()}
+        n *= h
+    g = math.gcd(n, d)
+    return Poly(terms, n // g, d // g)
+
+
+def _sum(pairs) -> Poly:
+    """The sum of k * p over pairs of an int k and a Poly p, built over one
+    common content with one gcd; a term that cancels keeps its place until
+    the end."""
+    n, d = 0, 1
+    for _, p in pairs:
+        n = math.gcd(n, p.cn)
+        d = math.lcm(d, p.cd)
+    out: dict = {}
+    for k, p in pairs:
+        k *= p.cn // n * (d // p.cd)
+        for m, t in p.terms.items():
+            out[m] = out.get(m, 0) + k * t
+    return _from_ints({m: t for m, t in out.items() if t}, n, d)
 
 
 # --------------------------------------------------------------------------
@@ -362,27 +461,14 @@ _POLY_ONE = Poly({_MONO_ONE: Fraction(1)})
 # rejects the inputs or every evaluation point fails.
 
 
-def _rat_content(p: Poly) -> Fraction:
-    """Positive rational c with p/c integer-coprime; leading sign preserved in pp."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    if num_gcd == 0:
-        return Fraction(1)
-    return Fraction(num_gcd, den_lcm)
-
-
 def _normalize_primitive(p: Poly) -> Poly:
-    """Scale to integer-coprime coefficients with positive leading coefficient."""
-    if p.is_zero():
+    """p's integer part with a positive leading coefficient."""
+    if not p.terms:
         return p
-    c = _rat_content(p)
-    _, lead = p.leading()
-    if lead < 0:
-        c = -c
-    return p.scale(1 / c)
+    lead = p._lead_mono()
+    if p.terms[lead] < 0:
+        return Poly({m: -t for m, t in p.terms.items()}, 1, 1, lead)
+    return p.primitive()
 
 
 def exact_div(p: Poly, d: Poly) -> Poly:
@@ -392,25 +478,25 @@ def exact_div(p: Poly, d: Poly) -> Poly:
     if p.is_zero():
         return _POLY_ZERO
     if d.is_const():
-        return p.scale(1 / d.const_value())
+        return p._scaled(d.terms[_MONO_ONE] < 0, d.cd, d.cn)
+    # The contents divide apart.  Gauss's lemma: a primitive divisor of a
+    # primitive polynomial leaves a primitive quotient, so the integer
+    # parts divide over Z.
+    cn, cd = _qmul(p.cn, p.cd, d.cd, d.cn)
     if len(d.terms) == 1:
-        ((dm, dc),) = d.terms.items()
+        ((dm, unit),) = d.terms.items()  # unit is 1 or -1
         out = {}
-        for m, c in p.terms.items():
+        for m, t in p.terms.items():
             qm = _mono_div(m, dm)
             if qm is None:
                 raise ArithmeticError("non-exact polynomial division")
-            out[qm] = c / dc
-        return Poly(out)
-    # Gauss's lemma: a primitive divisor of an integer polynomial leaves an
-    # integer quotient, so the division runs on the primitive parts over Z.
+            out[qm] = t * unit
+        return Poly(out, cn, cd)
     pk = _Packing((p, d))
-    cp, pi = pk.pack(p)
-    cd, di = pk.pack(d)
-    q = _zz_quo(pi, di, *_guard_bound(pk.degs, pk.width))
+    q = _zz_quo(pk.pack(p), pk.pack(d), *_guard_bound(pk.degs, pk.width))
     if q is None:
         raise ArithmeticError("non-exact polynomial division")
-    return pk.unpack(q, cp / cd)
+    return Poly(pk.unpack(q), cn, cd)
 
 
 def _prem(p: Poly, q: Poly, g: Gen) -> Poly:
@@ -424,11 +510,7 @@ def _prem(p: Poly, q: Poly, g: Gen) -> Poly:
             break
         lr = r.univ(g)[dr]
         shift = Poly.from_gen(g).pow_int(dr - dq) if dr > dq else _POLY_ONE
-        r = r * lq - q * lr * shift
-        if r.terms:
-            c = _rat_content(r)
-            if c != 1:
-                r = r.scale(1 / c)
+        r = (r * lq - q * lr * shift).primitive()
     return r
 
 
@@ -473,9 +555,11 @@ def _shift_out(p: Poly, m) -> Poly:
     """Divide every term of p by the monomial m (must divide all of them)."""
     if not m:
         return p
-    return Poly({_mono_div(t, m): c for t, c in p.terms.items()})
+    return Poly({_mono_div(t, m): c for t, c in p.terms.items()}, p.cn, p.cd)
 
 
+# The gcd memo, keyed by the unordered pair of normalized inputs.  When it
+# holds _GCD_CACHE_LIMIT entries, the oldest half is dropped.
 _GCD_CACHE: dict = {}
 _GCD_CACHE_LIMIT = 100_000
 
@@ -490,10 +574,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _POLY_ONE
     a = _normalize_primitive(a)
     b = _normalize_primitive(b)
-    ka, kb = a.struct_key(), b.struct_key()
-    if ka == kb:
+    # Both have content 1, so their integer parts are the whole polynomials.
+    if a.terms == b.terms:
         return a
-    ckey = (ka, kb) if ka <= kb else (kb, ka)
+    ka, kb = frozenset(a.terms.items()), frozenset(b.terms.items())
+    ckey = (ka, kb) if hash(ka) <= hash(kb) else (kb, ka)
     hit = _GCD_CACHE.get(ckey)
     if hit is not None:
         return hit
@@ -510,7 +595,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if mc:
         g = Poly({_mono_mul(m, mc): c for m, c in g.terms.items()})
     if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
-        _GCD_CACHE.clear()
+        for old in list(_GCD_CACHE)[: len(_GCD_CACHE) // 2]:
+            del _GCD_CACHE[old]
     _GCD_CACHE[ckey] = g
     return g
 
@@ -557,19 +643,13 @@ class _Packing:
         n = len(self.gens)
         self.shift = {g: self.width * (n - 1 - i) for i, g in enumerate(self.gens)}
 
-    def pack(self, p: Poly):
-        """(content, primitive packed integer part) with p = content * part."""
-        num, den = 0, 1
-        for c in p.terms.values():
-            num = math.gcd(num, c.numerator)
-            den = math.lcm(den, c.denominator)
+    def pack(self, p: Poly) -> dict:
+        """p's integer part with each monomial packed."""
         shift = self.shift
-        return Fraction(num, den), {
-            sum(e << shift[g] for g, e in m): c.numerator * (den // c.denominator) // num
-            for m, c in p.terms.items()
-        }
+        return {sum(e << shift[g] for g, e in m): c for m, c in p.terms.items()}
 
-    def unpack(self, f: dict, scale=1) -> Poly:
+    def unpack(self, f: dict) -> dict:
+        """Packed monomials back to tuples: a `terms` dict."""
         field = (1 << self.width) - 1
         ascending = [(g, self.shift[g]) for g in reversed(self.gens)]
         out = {}
@@ -579,8 +659,8 @@ class _Packing:
                 e = (key >> sh) & field
                 if e:
                     m.append((g, e))
-            out[tuple(m)] = Fraction(c) * scale
-        return Poly(out)
+            out[tuple(m)] = c
+        return out
 
 
 def _guard_bound(degs: tuple, width: int):
@@ -597,15 +677,16 @@ def _gcd_heuristic(a: Poly, b: Poly) -> Optional[Poly]:
     """GCDHEU of two primitive polys with no monomial content, or None."""
     if a.is_const() or b.is_const():
         return _POLY_ONE
-    if a.terms == b.terms:
+    if a.terms == b.terms:  # both have content 1: the inputs are normalized
         return a
     pk = _Packing((a, b))
     if math.prod(d + 1 for d in pk.degs) > _HEU_MAX_SIZE:
         return None
-    got = _heu(pk.pack(a)[1], pk.pack(b)[1], pk.degs, pk.width)
+    got = _heu(pk.pack(a), pk.pack(b), pk.degs, pk.width)
     if got is None:
         return None
-    return _normalize_primitive(pk.unpack(got[0]))
+    # A divisor of a primitive polynomial is primitive.
+    return _normalize_primitive(Poly(pk.unpack(got[0])))
 
 
 def _heu(f: dict, g: dict, degs: tuple, width: int):
@@ -753,7 +834,7 @@ def _gcd_deflated(a: Poly, b: Poly) -> Poly:
     """Primitive PRS gcd of two primitive polys with no monomial content."""
     if a.is_const() or b.is_const():
         return _POLY_ONE
-    if a.terms == b.terms:
+    if a.terms == b.terms:  # both have content 1: the inputs are normalized
         return a
     # A one-shot exact division settles the common divisible case quickly.
     da, db = a.total_degree(), b.total_degree()
@@ -811,20 +892,14 @@ def _normalize_pair(num: Poly, den: Poly):
         if not g.is_one():
             num = exact_div(num, g)
             den = exact_div(den, g)
+    # The denominator keeps its integer part with a positive leading
+    # coefficient, and the numerator takes its content and sign; dividing
+    # by a monic-making rational instead lets huge fractions compound
+    # across chained arithmetic.
     if den.is_const():
-        c = den.const_value()
-        return (num if c == 1 else num.scale(1 / c)), _POLY_ONE
-    # Scale so the denominator is integer-coprime with positive leading
-    # coefficient; dividing by a monic-making rational instead lets huge
-    # fractions compound across chained arithmetic.
-    c = _rat_content(den)
-    _, lead = den.leading()
-    if lead < 0:
-        c = -c
-    if c != 1:
-        num = num.scale(1 / c)
-        den = den.scale(1 / c)
-    return num, den
+        return num._scaled(den.terms[_MONO_ONE] < 0, den.cd, den.cn), _POLY_ONE
+    neg = den.terms[den._lead_mono()] < 0
+    return num._scaled(neg, den.cd, den.cn), _normalize_primitive(den)
 
 
 _Scalar = Union[int, Fraction]
@@ -935,6 +1010,8 @@ class Expression:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # Canonical denominators have content 1, so equal terms are equal
+        # denominators.
         if self.den is o.den or self.den.terms == o.den.terms:
             return Expression(self.num + o.num, self.den)
         return Expression(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -1163,7 +1240,7 @@ def _diff_poly(p: Poly, var: str, rules: Rules) -> Expression:
                 del rest[idx]
             else:
                 rest[idx] = (g, e - 1)
-            piece = Expression(Poly({tuple(rest): c * e}), _POLY_ONE, _raw=True)
+            piece = Expression(_from_ints({tuple(rest): c * e}, p.cn, p.cd), _POLY_ONE, _raw=True)
             total = total + piece * dg
     return total
 
@@ -1222,6 +1299,7 @@ def _subst_poly(p: Poly, b, rules, memo):
                 den = image.den
                 k = None  # a polynomial image joins no group
                 if not den.is_one():
+                    # Canonical denominators have content 1: the terms decide.
                     k = next((i for i, d in enumerate(dens) if d.terms == den.terms), len(dens))
                     if k == len(dens):
                         dens.append(den)
@@ -1244,19 +1322,18 @@ def _subst_poly(p: Poly, b, rules, memo):
             got = powers[(base, e)] = base.pow_int(e)
         return got
 
-    out: dict = {}
+    pieces = []
     for (m, c), n in zip(p.terms.items(), counts):
         piece = _POLY_ONE
         for g, e in m:
             piece = piece * power(images[g][0], e)
         for k, d in enumerate(dens):
             piece = piece * power(d, top[k] - n[k])
-        for mm, cc in piece.terms.items():
-            out[mm] = out.get(mm, 0) + c * cc
+        pieces.append((c, piece))
     den = _POLY_ONE
     for k, d in enumerate(dens):
         den = den * power(d, top[k])
-    return Poly({m: c for m, c in out.items() if c}), den
+    return _sum(pieces)._scaled(False, p.cn, p.cd), den
 
 
 def _subst_gen(g: Gen, b, rules, memo) -> Expression:

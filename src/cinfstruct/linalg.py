@@ -1,8 +1,8 @@
 """Symbolic linear algebra over the expression field.
 
-Entries are canonical gcd-reduced rational functions, so straightforward
-elimination stays fraction-free in effect: every intermediate is re-reduced
-by the kernel.  Pivots are chosen as the syntactically simplest certified
+Entries are canonical gcd-reduced rational functions, and the elimination
+divides at every step: every intermediate is re-reduced by the kernel, one
+gcd per entry.  Pivots are chosen as the syntactically simplest certified
 nonzero entry (node count, ties by position); the chosen pivots are the
 singular loci of the computation and are reported with every result.
 """

@@ -155,12 +155,12 @@ def weakest(results) -> ZeroTestResult:
 #
 # An expression is compiled once into straight-line Python in the order of
 # operations of a term-by-term walk: each term is coeff * g1**e1 * g2**e2 ...
-# in ``Poly.terms`` order, a polynomial is the sum of its terms from zero,
-# and each generator is computed once into a temporary.  Slot values arrive
-# as positional arguments, and coefficients as float or int literals or,
-# for mpmath, through the function's namespace, so the source holds only
-# temporaries, literals and the backend's function names; no symbol or
-# jet-slot name ever enters it.
+# in ``Poly.rational_terms()`` order, a polynomial is the sum of its terms
+# from zero, and each generator is computed once into a temporary.  Slot
+# values arrive as positional arguments, and coefficients as float or int
+# literals or, for mpmath, through the function's namespace, so the source
+# holds only temporaries, literals and the backend's function names; no
+# symbol or jet-slot name ever enters it.
 
 
 def sample_slots(e: Expression) -> list:
@@ -305,17 +305,18 @@ class _Emitter:
         with D the largest degree."""
         if p.is_one():
             return "(1, )", 1
-        degs = [sum([e for _, e in m]) for m in p.terms]
+        terms = p.rational_terms()
+        degs = [sum([e for _, e in m]) for m, _ in terms]
         top = max(degs, default=0)
-        lcm = math.lcm(*[c.denominator for c in p.terms.values()])
+        lcm = math.lcm(*[c.denominator for _, c in terms])
         items = [
             (m, c.numerator * (lcm // c.denominator) * self.q ** (top - d))
-            for (m, c), d in zip(p.terms.items(), degs)
+            for (m, c), d in zip(terms, degs)
         ]
         return "(%s)" % "".join(t + ", " for t in self.terms(items)), lcm * self.q**top
 
     def total(self, p) -> str:
-        terms = self.terms(p.terms.items())
+        terms = self.terms(p.rational_terms())
         acc = self.zero
         for i in range(0, len(terms), _SUM_CHUNK):
             acc = " + ".join([acc] + terms[i:i + _SUM_CHUNK])
@@ -337,7 +338,7 @@ class _Emitter:
             return self.expr(e)
         if self.backend == "exact":
             return "exact(bound, %s, %d, %s, %d)" % (self.int_terms(e.num) + self.int_terms(e.den))
-        terms = "".join(t + ", " for t in self.terms(e.num.terms.items()))
+        terms = "".join(t + ", " for t in self.terms(e.num.rational_terms()))
         den = "None" if e.den.is_one() else self.total(e.den)
         return "scaled(bound, %s, (%s), %s)" % (self.zero, terms, den)
 

@@ -200,7 +200,7 @@ def _float_gen(g, env):
 
 def _float_poly(p, env):
     total = 0.0
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.rational_terms():
         try:
             val = float(coeff)
         except OverflowError:
@@ -248,7 +248,7 @@ def _guard_den(den, eps):
 def _ev_poly(p, values, tofloat, eps):
     total = Fraction(0) if tofloat is None else tofloat(0)
     biggest = 0
-    for m, c in p.terms.items():
+    for m, c in p.rational_terms():
         term = Fraction(c) if tofloat is None else tofloat(c.numerator) / c.denominator
         for g, k in m:
             gv = _ev_gen(g, values, tofloat, eps)
@@ -308,7 +308,7 @@ def _subst_expr_termwise(e, b, rules):
 
 def _subst_poly_termwise(p, b, rules):
     total = kernel.ZERO
-    for m, c in p.terms.items():
+    for m, c in p.rational_terms():
         piece = kernel.const_expr(c)
         for g, e in m:
             piece = piece * (_subst_gen_termwise(g, b, rules) ** e)
@@ -326,3 +326,16 @@ def _subst_gen_termwise(g, b, rules):
     if g.kind == kernel.APP_KIND:
         return kernel.app(g.name, new_args, g.orders, rules)
     return kernel.elem(g.name, new_args[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference structural key: Poly.struct_key as it was computed when every
+# coefficient was a Fraction.
+
+
+def struct_key_reference(p):
+    """Per term in descending graded-lex order: the monomial's (gen key,
+    exponent) pairs, then the Fraction coefficient's numerator and
+    denominator."""
+    ordered = sorted(p.rational_terms(), key=lambda mc: kernel._mono_key(mc[0]), reverse=True)
+    return tuple((tuple((g.key, e) for g, e in m), c.numerator, c.denominator) for m, c in ordered)

@@ -142,7 +142,7 @@ def test_denominator_normalization_invariants():
         e = helpers.random_poly(rng, CH, 3, 3) / helpers.random_poly(rng, CH, 2, 2)
         g = kernel.poly_gcd(e.num, e.den)
         assert g.total_degree() == 0
-        content = kernel._rat_content(e.den)
+        content = Fraction(e.den.cn, e.den.cd)
         assert content == 1
         _, lead = e.den.leading()
         assert lead > 0
@@ -162,3 +162,31 @@ def test_chart_validation_rejects_foreign_coordinates():
     with pytest.raises(UnknownSymbolError):
         small.validate(e)
     assert small.validate(CH.parse("x1 + x2")) == small.parse("x1 + x2")
+
+
+def test_gcd_memo_drops_its_oldest_half(monkeypatch):
+    # gcd(x1 + k, x2 + k) reaches the memo once per k.  With a limit of 8 the
+    # memo never holds more than 8 entries, and a full memo forgets its
+    # oldest half: the four it kept at its last drop (k = 13..16) and the
+    # pairs since are still answered from it, the oldest are computed again.
+    # A memo cleared all at once would have kept only k = 17..20.
+    monkeypatch.setattr(kernel, "_GCD_CACHE", {})
+    monkeypatch.setattr(kernel, "_GCD_CACHE_LIMIT", 8)
+    computed = []
+    heuristic = kernel._gcd_heuristic
+
+    def counted(a, b):
+        computed.append((a, b))
+        return heuristic(a, b)
+
+    monkeypatch.setattr(kernel, "_gcd_heuristic", counted)
+    pairs = [(CH.parse("x1 + %d" % k).num, CH.parse("x2 + %d" % k).num) for k in range(1, 21)]
+    for a, b in pairs:
+        assert kernel.poly_gcd(a, b).is_one()
+        assert len(kernel._GCD_CACHE) <= 8
+    assert len(computed) == 20
+    for a, b in pairs[-8:]:
+        assert kernel.poly_gcd(b, a).is_one()
+    assert len(computed) == 20
+    kernel.poly_gcd(*pairs[0])
+    assert len(computed) == 21

@@ -12,7 +12,6 @@ from cinfstruct.calculus import SmoothMap
 from cinfstruct.charts import Chart
 from cinfstruct.errors import CertificationError, ChartError
 from cinfstruct.reduction import (
-    StepSpec,
     build_solvable_structure,
     derive_factors,
     descend,

@@ -20,7 +20,6 @@ from cinfstruct.structures import (
     check_cinf_symmetry,
     check_independent,
     check_involutive,
-    dual_one_forms,
     normalize_dual,
     rescale_symmetry,
 )
