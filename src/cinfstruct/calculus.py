@@ -63,9 +63,6 @@ class VectorField:
             )
         object.__setattr__(self, "components", comps)
 
-    def __call__(self, f) -> Expression:
-        return apply_field(self, f)
-
     def scaled(self, h, name: str = "") -> "VectorField":
         h = self.chart.coerce(h)
         return VectorField(self.chart, tuple(h * c for c in self.components), name)
@@ -154,10 +151,6 @@ class KForm:
             (i, c) for i, c in sorted(acc.items()) if not c.is_zero_expr()
         )
         return KForm(chart, degree, cleaned)
-
-    @staticmethod
-    def zero(chart: Chart, degree: int) -> "KForm":
-        return KForm.make(chart, degree, {})
 
     def coeff(self, idx: Sequence[int]) -> Expression:
         canon, sign = _normalize_indices(idx, self.chart.dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import kernel, syntax
 from .errors import ChartError, ExpressionSyntaxError, UnknownSymbolError
@@ -68,11 +68,6 @@ class Chart:
         except ValueError:
             raise ChartError("%r is not a coordinate of chart %r" % (coord, self.name))
 
-    def var(self, name: str) -> Expression:
-        if name not in self.allowed:
-            raise UnknownSymbolError("%r is not a symbol of chart %r" % (name, self.name))
-        return kernel.sym(name)
-
     # -- expression operations, chart-aware -----------------------------------
 
     def parse(self, text: str) -> Expression:
@@ -97,19 +92,6 @@ class Chart:
     def differentiate(self, e: Expression, coord: str) -> Expression:
         self.index(coord)
         return kernel.differentiate(e, coord, self.rules)
-
-    def substitute(self, e: Expression, bindings: Mapping[str, object]) -> Expression:
-        coerced = {}
-        for k, v in bindings.items():
-            if k not in self.allowed:
-                raise UnknownSymbolError(
-                    "cannot substitute %r: not a symbol of chart %r" % (k, self.name)
-                )
-            coerced[k] = self.coerce(v)
-        return kernel.substitute(e, coerced, self.rules)
-
-    def gradient(self, e: Expression) -> tuple[Expression, ...]:
-        return tuple(kernel.differentiate(e, c, self.rules) for c in self.coords)
 
     # -- derived charts --------------------------------------------------------
 

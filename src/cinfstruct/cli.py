@@ -162,7 +162,7 @@ def _cmd_check(scn: Scenario, what: str, policy) -> tuple[int, list[str], dict]:
 
 def _start_pipeline(scn: Scenario, policy):
     """The scenario's step specs and a reduction state opened with `policy`."""
-    specs = scn.step_specs()
+    specs = scn.steps
     if not specs:
         raise ScenarioError("the scenario has no reduction script")
     return init_reduction(scn.distribution, scn.structure_fields, policy), specs

@@ -67,9 +67,9 @@ def check_symmetrizing_factor(
     _check_level(structure.corank, i0)
     chart = structure.chart
     f = chart.coerce(f)
-    members, lambdas = structure.level_factor_data(i0)
+    lv = structure.level(i0)
     items = [CheckItem("f is nonvanishing", is_zero(f, policy), expect_zero=False)]
-    for k, (V, lam) in enumerate(zip(members, lambdas)):
+    for k, (V, lam) in enumerate(zip(lv.members, lv.lambdas)):
         vname = V.name or "V%d" % (k + 1)
         residual = apply_field(V, f) - lam * f
         items.append(
@@ -219,12 +219,11 @@ def factor_quotient_check(
     f_a = chart.coerce(f_a)
     f_b = chart.coerce(f_b)
     ratio = f_b / f_a
-    members, _lambdas = structure.level_factor_data(i0)
     items = [
         CheckItem("f_a is nonvanishing", is_zero(f_a, policy), expect_zero=False),
         CheckItem("f_b is nonvanishing", is_zero(f_b, policy), expect_zero=False),
     ]
-    for k, V in enumerate(members):
+    for k, V in enumerate(structure.level(i0).members):
         vname = V.name or "V%d" % (k + 1)
         items.append(
             CheckItem(
@@ -243,19 +242,6 @@ def factor_quotient_check(
 
 # ---------------------------------------------------------------------------
 # Classical two-variable quadrature.
-
-def float_evaluator(chart: Chart, expr) -> Callable[..., float]:
-    """A plain-float callable in the chart's coordinate order."""
-    fn = compile_evaluator(chart.coerce(expr), chart.coords)
-    n = chart.dim
-
-    def call(*args: float) -> float:
-        if len(args) != n:
-            raise EvaluationError("expected %d coordinates, got %d" % (n, len(args)))
-        return fn(*args)
-
-    return call
-
 
 # QUADPACK's qk21 rule on [-1, 1]: the Kronrod abscissae from the outside
 # in, ending at the centre, with their weights; the odd-indexed abscissae

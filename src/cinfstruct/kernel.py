@@ -5,7 +5,8 @@ certificates) is an :class:`Expression`: a quotient of two sparse multivariate
 polynomials whose "variables" are *generators*.  A generator is either a plain
 symbol (chart coordinate or constant), an abstract-function application such
 as ``phi1(x)`` carrying a derivative multi-index, or an elementary application
-such as ``exp(x)``.  Construction canonicalizes eagerly: products are
+such as ``exp(x)``.  Generators are interned, one object per key, and
+compare by identity.  Construction canonicalizes eagerly: products are
 expanded, the gcd of numerator and denominator is removed, and the denominator
 is scaled to integer-coprime coefficients with a positive leading coefficient
 in a fixed graded-lexicographic monomial order.  Two expressions therefore
@@ -63,9 +64,14 @@ SYM_KIND, APP_KIND, ELEM_KIND = _SYM, _APP, _ELEM
 
 
 class Gen:
-    """An interned opaque generator (symbol, jet, or elementary application)."""
+    """An interned opaque generator (symbol, jet, or elementary application).
 
-    __slots__ = ("kind", "name", "args", "orders", "key", "_hash")
+    ``_intern`` builds the one Gen of each key, so two generators are equal
+    exactly when they are the same object: a Gen hashes and compares by
+    identity, and orders by key.
+    """
+
+    __slots__ = ("kind", "name", "args", "orders", "key")
 
     def __init__(self, kind, name, args, orders, key):
         self.kind = kind
@@ -73,13 +79,6 @@ class Gen:
         self.args = args        # tuple[Expression, ...] for _APP/_ELEM, () for _SYM
         self.orders = orders    # tuple[int, ...] derivative multi-index (_APP only)
         self.key = key
-        self._hash = hash(key)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Gen) and self.key == other.key)
 
     def __lt__(self, other):
         return self.key < other.key
@@ -138,7 +137,7 @@ def _mono_mul(m1, m2):
     while i < n1 and j < n2:
         g1, e1 = m1[i]
         g2, e2 = m2[j]
-        if g1 is g2 or g1.key == g2.key:
+        if g1 is g2:
             out.append((g1, e1 + e2))
             i += 1
             j += 1
@@ -157,8 +156,7 @@ def _mono_div(m1, m2):
     """m1 / m2 as a monomial, or None when not divisible."""
     if not m2:
         return m1
-    have = dict((g, e) for g, e in m1)
-    out = dict(have)
+    out = dict(m1)
     for g, e in m2:
         r = out.get(g, 0) - e
         if r < 0:
@@ -831,11 +829,8 @@ def _zz_quo(f: dict, h: dict, guard: int, bound: int) -> Optional[dict]:
 
 
 def _gcd_deflated(a: Poly, b: Poly) -> Poly:
-    """Primitive PRS gcd of two primitive polys with no monomial content."""
-    if a.is_const() or b.is_const():
-        return _POLY_ONE
-    if a.terms == b.terms:  # both have content 1: the inputs are normalized
-        return a
+    """Primitive PRS gcd of two distinct, non-constant primitive polys with no
+    monomial content: its caller runs it only where GCDHEU gave up."""
     # A one-shot exact division settles the common divisible case quickly.
     da, db = a.total_degree(), b.total_degree()
     if da != db:
@@ -1143,18 +1138,14 @@ def _rule_for(rules: Rules, name: str) -> Optional[RewriteRule]:
     return None
 
 
-def _expanded_rhs(rules_t: tuple, rule: RewriteRule, order: int) -> Expression:
-    """rule.func's order-th derivative as an expression in rule.var."""
+@functools.lru_cache(maxsize=4096)
+def _expanded_rhs_cached(rules_t: tuple, func: str, order: int) -> Expression:
+    """func's order-th derivative, by its rule, as an expression in the rule's var."""
+    rule = _rule_for(rules_t, func)
     body = rule.rhs
     for _ in range(order - rule.order):
         body = differentiate(body, rule.var, rules_t)
     return body
-
-
-@functools.lru_cache(maxsize=4096)
-def _expanded_rhs_cached(rules_t: tuple, func: str, order: int) -> Expression:
-    rule = _rule_for(rules_t, func)
-    return _expanded_rhs(rules_t, rule, order)
 
 
 def app(name: str, args, orders, rules: Rules = ()) -> Expression:

@@ -15,7 +15,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .errors import InconsistentSystemError, RankDeficientError
-from .kernel import ZERO, Expression
+from .kernel import ONE, ZERO, Expression
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, ZeroTestResult, is_zero, weakest
 
 __all__ = ["LinearSolution", "solve_linear", "rank_certified", "det"]
@@ -29,25 +29,16 @@ class LinearSolution:
     residual: ZeroTestResult
 
 
-def _pick_pivot(rows, row_ids, col, policy) -> Optional[int]:
-    """Index into row_ids of the simplest certified-nonzero entry, else None."""
-    best = None
-    best_score = None
-    for pos, ri in enumerate(row_ids):
-        e = rows[ri][col]
-        if e.is_zero_expr():
-            continue
-        if not e.is_const() and e.has_elementary():
-            if not is_zero(e, policy).certainty.is_zero:
-                score = (e.complexity(), pos)
-            else:
-                continue
-        else:
-            score = (e.complexity(), pos)
-        if best_score is None or score < best_score:
-            best = pos
-            best_score = score
-    return best
+def pick_pivot(entries: Sequence[Expression], policy: ZeroTestPolicy) -> Optional[int]:
+    """Position of the simplest certified-nonzero entry (node count, ties by
+    position), or None.  Only an entry with an elementary generator takes a
+    zero test: any other canonical form but ZERO is a nonzero function."""
+    ranked = sorted((e.complexity(), pos) for pos, e in enumerate(entries) if not e.is_zero_expr())
+    for _, pos in ranked:
+        e = entries[pos]
+        if not e.has_elementary() or not is_zero(e, policy).is_zero:
+            return pos
+    return None
 
 
 def _eliminate(rows, ncols, policy) -> tuple[list[tuple[int, int]], list[int]]:
@@ -62,7 +53,7 @@ def _eliminate(rows, ncols, policy) -> tuple[list[tuple[int, int]], list[int]]:
     for col in range(ncols):
         if not remaining:
             break
-        pos = _pick_pivot(rows, remaining, col, policy)
+        pos = pick_pivot([rows[ri][col] for ri in remaining], policy)
         if pos is None:
             continue
         ri = remaining.pop(pos)
@@ -143,8 +134,6 @@ def det(matrix: Sequence[Sequence[Expression]]) -> Expression:
     """Determinant by Laplace expansion with column-subset memoization."""
     n = len(matrix)
     if n == 0:
-        from .kernel import ONE
-
         return ONE
     for row in matrix:
         if len(row) != n:
@@ -153,8 +142,6 @@ def det(matrix: Sequence[Sequence[Expression]]) -> Expression:
 
     def minor(row: int, cols: tuple) -> Expression:
         if row == n:
-            from .kernel import ONE
-
             return ONE
         got = memo.get(cols)
         if got is not None:

@@ -33,6 +33,7 @@ from .charts import Chart, parse_rule
 from .errors import CertificationError, ChartError, NotTangentError
 from .factors import check_relative_integrating_factor, check_symmetrizing_factor
 from .kernel import Expression
+from .linalg import pick_pivot
 from .structures import (
     CinfStructure,
     Distribution,
@@ -484,19 +485,14 @@ def derive_factors(state: ReductionState) -> list[FactorEntry]:
         top_form = stage.forms[-1]
         I = step.integral
         dI = d_of_function(stage.chart, I)
-        pivot = None
-        for idx, c in sorted(
-            top_form.coeffs, key=lambda t: (t[1].complexity(), t[0])
-        ):
-            if not is_zero(c, policy).is_zero:
-                pivot = (idx, c)
-                break
-        if pivot is None:
+        pos = pick_pivot([c for _, c in top_form.coeffs], policy)
+        if pos is None:
             raise CertificationError(
                 "the stage-%d top form vanished; no factor can be read off" % s,
                 certificate=stage.structure.certificate() if stage.structure else None,
             )
-        mu_red = dI.coeff(pivot[0]) / pivot[1]
+        idx, c = top_form.coeffs[pos]
+        mu_red = dI.coeff(idx) / c
         items = [
             CheckItem(
                 "reduced factor is nonvanishing", is_zero(mu_red, policy), expect_zero=False

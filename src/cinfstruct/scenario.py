@@ -1,7 +1,7 @@
 """Scenario files: JSON descriptions of a chart, fields, and a reduction.
 
 A scenario binds everything a command-line run needs: the chart, rewrite
-rules, named vector fields (and optionally named 1-forms), the ordered
+rules, named vector fields, the ordered
 structure (which names are generators, which are the structure fields), the
 reduction script, and zero-test policy overrides.  Loading is strict: unknown
 keys, unresolved names, bad component counts, non-contiguous levels and
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .calculus import KForm, VectorField
+from .calculus import VectorField
 from .charts import Chart, parse_rule
 from .errors import CinfstructError, ScenarioError
 from .reduction import StepSpec
@@ -33,7 +33,7 @@ from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
 __all__ = ["Scenario", "build_scenario", "load_scenario"]
 
-_TOP_KEYS = {"chart", "fields", "forms", "structure", "rules", "reduction", "policy"}
+_TOP_KEYS = {"chart", "fields", "structure", "rules", "reduction", "policy"}
 _ENTRY_KEYS = {"level", "integral", "constant", "parametrization", "rewrite_rules"}
 _POLICY_KEYS = {"seed", "samples", "tol"}
 
@@ -44,7 +44,6 @@ class Scenario:
 
     chart: Chart
     fields: Mapping[str, VectorField]
-    forms: Mapping[str, KForm]
     generator_names: tuple[str, ...]
     field_names: tuple[str, ...]
     steps: tuple[StepSpec, ...]
@@ -61,9 +60,6 @@ class Scenario:
     @property
     def distribution(self) -> Distribution:
         return Distribution(self.chart, self.generators)
-
-    def step_specs(self) -> tuple[StepSpec, ...]:
-        return self.steps
 
     def merged_policy(
         self,
@@ -162,25 +158,6 @@ def _build_fields(chart: Chart, data) -> dict[str, VectorField]:
     return out
 
 
-def _build_forms(chart: Chart, data) -> dict[str, KForm]:
-    raw = _want(data, "forms", dict, "the scenario", default={})
-    out: dict[str, KForm] = {}
-    for name, comps in raw.items():
-        comps = _string_list(comps, "form %r coefficients" % name)
-        if len(comps) != chart.dim:
-            raise ScenarioError(
-                "form %r has %d coefficients on a %d-dimensional chart"
-                % (name, len(comps), chart.dim)
-            )
-        try:
-            out[name] = KForm.make(
-                chart, 1, {(i,): chart.parse(c) for i, c in enumerate(comps)}
-            )
-        except CinfstructError as exc:
-            raise ScenarioError("form %r: %s" % (name, exc)) from None
-    return out
-
-
 def _build_structure(data, fields) -> tuple[tuple[str, ...], tuple[str, ...]]:
     raw = _want(data, "structure", dict, "the scenario", required=True)
     _reject_unknown(raw, {"generators", "fields"}, "the structure block")
@@ -273,14 +250,12 @@ def build_scenario(data: Mapping) -> Scenario:
     except CinfstructError as exc:
         raise ScenarioError("bad rewrite rule: %s" % exc) from None
     fields = _build_fields(chart, data)
-    forms = _build_forms(chart, data)
     gens, fs = _build_structure(data, fields)
     entries = _build_reduction(data, len(fs))
     policy = _build_policy(data)
     return Scenario(
         chart=chart,
         fields=fields,
-        forms=forms,
         generator_names=gens,
         field_names=fs,
         steps=_graph_specs(chart, entries),

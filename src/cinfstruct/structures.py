@@ -295,11 +295,6 @@ class CinfStructure:
         """1-based level access (level i0 certifies X_{i0})."""
         return self.levels[i0 - 1]
 
-    def level_factor_data(self, i0: int):
-        """(member fields, lambda expressions) constraining level-i0 factors."""
-        lv = self.level(i0)
-        return lv.members, lv.lambdas
-
     def certificate(self) -> Certificate:
         items = []
         for lv in self.levels:

@@ -407,7 +407,6 @@ def _to_mpf(v):
 def evaluate(
     e: Expression,
     values: Mapping[str, object],
-    digits: int = _DIGITS,
     eps_sing: Optional[Fraction] = None,
 ):
     """Evaluate at a point; exact Fraction when no elementary functions occur.
@@ -427,7 +426,7 @@ def evaluate(
         q = math.lcm(*(a.denominator for a in args))
         fn = compile_evaluator(e, slots, "exact", eps_sing, q)
         return fn(*(int(a * q) for a in args))[0]
-    with mpmath.workdps(digits):
+    with mpmath.workdps(_DIGITS):
         fn = compile_evaluator(e, slots, "mpmath", eps_sing)
         return fn(*(_to_mpf(values[s]) for s in slots))[0]
 

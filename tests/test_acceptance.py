@@ -30,7 +30,7 @@ from cinfstruct.calculus import (
     wedge,
 )
 from cinfstruct.charts import Chart
-from cinfstruct.zerotest import DEFAULT_POLICY, Certainty, is_zero
+from cinfstruct.zerotest import DEFAULT_POLICY, Certainty, compile_evaluator, is_zero
 
 
 def _cold_kernel():
@@ -456,7 +456,7 @@ def test_criterion_08_quadrature_primitives():
         F = ch.parse(text)
         res = fc.primitive_by_quadrature(d_of_function(ch, F))
         assert res.ok
-        ref = fc.float_evaluator(ch, F)
+        ref = compile_evaluator(F, ch.coords)
         offset = ref(0.0, 0.0)
         for _ in range(10):
             x = rng.uniform(-0.8, 0.8)

@@ -70,14 +70,6 @@ def test_elementary_chain_rules():
     assert CH.differentiate(CH.parse("sqrt(x1)"), x) == CH.parse("1/(2*sqrt(x1))")
 
 
-def test_gradient_matches_componentwise_derivatives():
-    e = CH.parse("x1*x2^2 - x3/x4")
-    grad = CH.gradient(e)
-    assert len(grad) == 4
-    for comp, coord in zip(grad, CH.coords):
-        assert comp == CH.differentiate(e, coord)
-
-
 def test_substituting_the_step_constant_recovers_the_lifted_factor():
     # The reduced-chart factor mentions the constant; replacing it by the
     # first integral must give the factor on the full chart.

@@ -10,6 +10,10 @@ digest; a change that means to move a report updates the table on purpose.
 A second table holds reduce and factors --emit-solvable on example31 with
 all three upper coordinates sheared, where nearly all of the work is
 substitution into rational functions.
+
+A third table holds a scenario whose involutivity rests on the sampled
+identity exp(2x) = exp(x)^2, and a false copy of it, so that the certainty,
+sample counts and witnesses of sampled items are pinned as well.
 """
 
 import contextlib
@@ -24,6 +28,10 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # example31 pushed through x2 += 2*x1, then x3 += -x1 + 2*x2, then
 # x4 += x1 - 2*x3, one shear at a time as bench/gen.py's push_scenario does.
 TRIPLE_SHEAR = Path(__file__).resolve().parent / "data" / "example31_triple_shear.json"
+# Z1 = d/dx, Z2 = d/dy + (exp(2x) - exp(x)^2) d/dw, X1 = d/dw, X2 = d/dz; the
+# false copy adds x/1000 to Z2's w component.
+SAMPLED = Path(__file__).resolve().parent / "data" / "sampled_shear.json"
+SAMPLED_FALSE = Path(__file__).resolve().parent / "data" / "sampled_shear_false.json"
 
 GOLDEN = {
     "airy check cinf-structure":
@@ -93,6 +101,16 @@ TRIPLE_SHEAR_GOLDEN = {
     "factors": "aeb5e1217fb43f62af542a9404ad0607c6b5b845a3b18094c4b0d3a9f26ebd70",
 }
 
+SAMPLED_GOLDEN = {
+    "check involutive": "93d243303c2edd16d60412ee968cd2cf7edd4efd34bb5d3482e3bdc903420f74",
+    "check cinf-structure": "de98a076dd9208eb681709fc80bd63ff1a4cdf692178ac9bc5927bcf7d709128",
+    "check independence": "328c7419ce344107e2f841c74be078e95fe5839e0222c96e036d008cdfa3b127",
+    "reduce": "651e96961e23d5289dc959c793890d777772d62c88b5a58d4a459880c8ee4f00",
+    "factors": "928e624f36fb646bf274f918b37620609b83f15f4dd9c7aff44f0527e6015a20",
+    "false check involutive":
+        "8c5b373bc8c2c0e987560651b65f3e3e5c0f4bde7a26bc02002f0ef10003c611",
+}
+
 
 def _run(argv, report: Path):
     if report.exists():
@@ -141,3 +159,16 @@ def test_triple_shear_output_matches_the_golden_digests(tmp_path):
         "factors": _run(["factors", path, "--emit-solvable"], report)[0],
     }
     assert got == TRIPLE_SHEAR_GOLDEN
+
+
+def test_sampled_output_matches_the_golden_digests(tmp_path):
+    report = tmp_path / "report.json"
+    path, false_path = str(SAMPLED), str(SAMPLED_FALSE)
+    got = {
+        "check %s" % what: _run(["check", path, what], report)[0]
+        for what in ("involutive", "cinf-structure", "independence")
+    }
+    got["reduce"] = _run(["reduce", path], report)[0]
+    got["factors"] = _run(["factors", path, "--emit-solvable"], report)[0]
+    got["false check involutive"] = _run(["check", false_path, "involutive"], report)[0]
+    assert got == SAMPLED_GOLDEN

@@ -32,7 +32,7 @@ def test_load_the_four_coordinate_scenario():
     assert set(sc.fields) == {"Z1", "Z2", "X1", "X2"}
     assert sc.generator_names == ("Z1", "Z2")
     assert sc.field_names == ("X1", "X2")
-    specs = sc.step_specs()
+    specs = sc.steps
     assert [s.solve_for for s in specs] == ["x4", "x3"]
     assert specs[0].solution == helpers.DIM4_SOLUTION_2
     assert specs[1].solution == helpers.DIM4_SOLUTION_1
@@ -44,7 +44,7 @@ def test_load_the_jet_scenario():
     assert sc.chart.coords == ("x", "u", "u1", "u2")
     assert len(sc.chart.rules) == 3
     assert sc.generator_names == ("A",)
-    specs = sc.step_specs()
+    specs = sc.steps
     assert [s.solve_for for s in specs] == ["u2", "u1", "u"]
     assert specs[0].add_rules == (helpers.AIRY_RULE_G,)
     assert specs[1].add_rules == (helpers.AIRY_RULE_H,)
@@ -54,7 +54,7 @@ def test_load_the_jet_scenario():
 def test_scenario_drives_the_pipeline():
     sc = load_scenario(SCENARIOS / "example31.json")
     state = init_reduction(sc.distribution, sc.structure_fields, sc.policy)
-    run_reduction(state, sc.step_specs())
+    run_reduction(state, sc.steps)
     assert state.complete
     assert state.ok
 
@@ -163,13 +163,10 @@ def test_bad_rewrite_rules_are_reported():
 
 
 def test_forms_block(tmp_path):
+    # No command reads named forms, so a forms block is an unknown key.
     doc = minimal()
     doc["forms"] = {"w": ["y", "-x"]}
-    sc = build_scenario(doc)
-    assert set(sc.forms) == {"w"}
-    assert sc.forms["w"].coeff((0,)) == sc.chart.parse("y")
-    doc["forms"] = {"w": ["y"]}
-    with pytest.raises(ScenarioError, match="1 coefficients on a 2-dimensional"):
+    with pytest.raises(ScenarioError, match="the scenario has unknown keys: forms"):
         build_scenario(doc)
 
 
