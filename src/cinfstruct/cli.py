@@ -16,7 +16,8 @@ Subcommands:
 
 Exit codes: 0 when every certificate is ok, 1 when a certificate fails or a
 computation refutes the claim, 2 for unusable input (bad file, bad
-expression, bad flags).  Stdout carries the human-readable report; --report
+expression, bad flags: --samples below 1, a --tol that is not a finite
+number > 0, a --level outside 1..m).  Stdout carries the human-readable report; --report
 writes the machine-readable JSON document, byte-identical for identical
 scenario and seed (no timestamps, no paths).
 """
@@ -30,6 +31,7 @@ from typing import Optional, Sequence
 
 from . import __version__, syntax
 from .errors import (
+    BadArgumentError,
     CertificationError,
     ChartError,
     CinfstructError,
@@ -57,6 +59,7 @@ from .structures import check_cinf_structure, check_independent, check_involutiv
 __all__ = ["main"]
 
 _INPUT_ERRORS = (
+    BadArgumentError,
     ScenarioError,
     ExpressionSyntaxError,
     UnknownSymbolError,

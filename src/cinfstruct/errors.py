@@ -83,5 +83,10 @@ class CertificationError(CinfstructError):
         self.certificate = certificate
 
 
+class BadArgumentError(CinfstructError, ValueError):
+    """A caller's value outside what an operation accepts: a zero-test policy
+    field or a structure level."""
+
+
 class ScenarioError(CinfstructError):
     """A scenario file is missing, unreadable, or malformed."""

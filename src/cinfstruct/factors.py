@@ -27,7 +27,7 @@ from . import kernel, syntax
 from .calculus import KForm, apply_field, d_of_function, exterior_derivative, wedge
 from .certs import Certificate, CheckItem, bundle, form_vanishes
 from .charts import Chart
-from .errors import EvaluationError, SingularExpressionError
+from .errors import BadArgumentError, EvaluationError, SingularExpressionError
 from .kernel import Expression
 from .structures import CinfStructure, DualForms
 from .zerotest import (
@@ -54,7 +54,7 @@ __all__ = [
 
 def _check_level(m: int, i0: int) -> None:
     if not 1 <= i0 <= m:
-        raise ValueError("level %d out of range 1..%d" % (i0, m))
+        raise BadArgumentError("level %d out of range 1..%d" % (i0, m))
 
 
 def check_symmetrizing_factor(

@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 
 from .calculus import VectorField
 from .charts import Chart, parse_rule
-from .errors import CinfstructError, ScenarioError
+from .errors import BadArgumentError, CinfstructError, ScenarioError
 from .reduction import StepSpec
 from .structures import Distribution
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
@@ -125,20 +125,10 @@ def _build_chart(data) -> Chart:
 def _build_policy(data) -> ZeroTestPolicy:
     raw = _want(data, "policy", dict, "the scenario", default={})
     _reject_unknown(raw, _POLICY_KEYS, "the policy block")
-    policy = DEFAULT_POLICY
-    if "seed" in raw:
-        if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
-            raise ScenarioError("policy seed must be an integer")
-        policy = policy.replace(seed=raw["seed"])
-    if "samples" in raw:
-        if not isinstance(raw["samples"], int) or raw["samples"] < 1:
-            raise ScenarioError("policy samples must be a positive integer")
-        policy = policy.replace(samples=raw["samples"])
-    if "tol" in raw:
-        if not isinstance(raw["tol"], (int, float)) or raw["tol"] <= 0:
-            raise ScenarioError("policy tol must be a positive number")
-        policy = policy.replace(tol=float(raw["tol"]))
-    return policy
+    try:
+        return DEFAULT_POLICY.replace(**raw)
+    except BadArgumentError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _build_fields(chart: Chart, data) -> dict[str, VectorField]:

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional
 import mpmath
 
 from . import kernel, syntax
-from .errors import EvaluationError, SamplingError, SingularPointError
+from .errors import BadArgumentError, EvaluationError, SamplingError, SingularPointError
 from .kernel import Expression, Gen
 
 __all__ = [
@@ -68,11 +68,26 @@ class Certainty(str, Enum):
 @dataclass(frozen=True)
 class ZeroTestPolicy:
     """What a scenario or the command line may set for sampled identity
-    testing: the draw seed, the samples per test and the numeric tolerance."""
+    testing: the draw seed, the samples per test and the numeric tolerance.
+
+    Every policy is checked on construction, so no zero test runs on zero
+    samples or against a tolerance that no value can exceed (NaN, infinity).
+    """
 
     seed: int = 0
     samples: int = 20
     tol: float = 1e-9
+
+    def __post_init__(self):
+        for name in ("seed", "samples"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadArgumentError("policy %s must be an integer, got %r" % (name, value))
+        if self.samples < 1:
+            raise BadArgumentError("policy samples must be at least 1, got %d" % self.samples)
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise BadArgumentError("policy tol must be a finite number > 0, got %r" % (tol,))
 
     def replace(self, **kw) -> "ZeroTestPolicy":
         return replace(self, **kw)

@@ -265,6 +265,51 @@ def test_bad_expression_is_an_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Z2 moves w by exp(2x) - exp(x)^2 + x/1000, so [Z1, Z2] leaves the span.
+SAMPLED_FALSE = str(Path(__file__).resolve().parent / "data" / "sampled_shear_false.json")
+
+
+def test_a_false_sampled_claim_is_refuted_under_the_default_policy(capsys):
+    assert main(["check", SAMPLED_FALSE, "involutive"]) == 1
+    assert "witness: x = 17/16" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--samples", "0"], ["--samples", "-2"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"]],
+)
+def test_a_policy_flag_with_no_evidence_is_an_input_error(capsys, flags):
+    assert main(["check", SAMPLED_FALSE, "involutive"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: policy ")
+
+
+@pytest.mark.parametrize("policy", [{"tol": float("nan")}, {"samples": True}])
+def test_a_scenario_policy_with_no_evidence_is_an_input_error(tmp_path, capsys, policy):
+    doc = json.loads(Path(SAMPLED_FALSE).read_text())
+    doc["policy"] = policy
+    assert main(["check", write_scenario(tmp_path, doc), "involutive"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: policy ")
+
+
+@pytest.mark.parametrize("level", ["0", "3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "factor", EX31, "--kind", "symmetrizing", "--expr", "x2"],
+        ["convert", "factor", EX31, "--direction", "f2mu", "--expr", "x2"],
+    ],
+)
+def test_a_level_out_of_range_is_an_input_error(capsys, argv, level):
+    assert main(argv + ["--level", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level %s out of range 1..2\n" % level
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -70,6 +70,42 @@ def test_elementary_chain_rules():
     assert CH.differentiate(CH.parse("sqrt(x1)"), x) == CH.parse("1/(2*sqrt(x1))")
 
 
+def _gens(e):
+    """e's generators by key, through application arguments."""
+    return {g.key: g for g in e.atoms()}
+
+
+def test_every_route_to_a_generator_gives_the_one_interned_object():
+    # Generators hash and compare by identity, so parsing, differentiating,
+    # substituting and rewriting must all return the object interned for a key.
+    ch = Chart("J", ("x", "y"))
+    first = ch.parse("phi(x)*exp(x*y) + D(phi, x)/(y + sin(x))")
+    second = ch.parse("D(phi, x, 1)/(sin(x) + y) + exp(y*x)*phi(x)")
+    assert first == second
+    gens = _gens(first)
+    assert len(gens) == 6
+    assert all(_gens(second)[key] is g for key, g in gens.items())
+    # Monomials from one parse find their entries in a dict built from another.
+    table = {m: c for m, c in first.num.terms.items()}
+    assert all(table[m] == c for m, c in second.num.terms.items())
+    assert len(table) == len(second.num.terms) == 3
+
+    # A jet from differentiate, and an application with substituted arguments.
+    (jet,) = ch.differentiate(ch.parse("phi(x)"), "x").num.gens()
+    assert jet is _gens(ch.parse("D(phi, x)"))[jet.key]
+    moved = kernel.substitute(ch.parse("phi(x)*exp(x)"), {"x": ch.parse("y + 1")}, ())
+    direct = _gens(ch.parse("exp(1 + y)*phi(y + 1)"))
+    assert sorted(direct) == sorted(g.key for g in moved.atoms())
+    assert all(direct[g.key] is g for g in moved.atoms())
+
+    # An Airy rewrite rule: D(phi1, x, 2) = (x + 1/4)*phi1.
+    airy = helpers.airy_chart()
+    rewritten = airy.differentiate(airy.parse("D(phi1, x)"), "x")
+    assert rewritten == airy.parse("(x + 1/4)*phi1(x)")
+    phi1 = _gens(airy.parse("phi1(x)"))
+    assert [g for g in rewritten.atoms() if g.key in phi1] == list(phi1.values())
+
+
 def test_substituting_the_step_constant_recovers_the_lifted_factor():
     # The reduced-chart factor mentions the constant; replacing it by the
     # first integral must give the factor on the full chart.

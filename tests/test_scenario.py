@@ -71,7 +71,15 @@ def test_policy_block_is_validated():
     doc["policy"] = {"seed": 3, "samples": 4, "tol": 0.5}
     sc = build_scenario(doc)
     assert (sc.policy.seed, sc.policy.samples, sc.policy.tol) == (3, 4, 0.5)
-    for bad in [{"seed": "x"}, {"samples": 0}, {"tol": -1}, {"speed": 1}]:
+    for bad in [
+        {"seed": "x"},
+        {"samples": 0},
+        {"samples": True},
+        {"tol": -1},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"speed": 1},
+    ]:
         doc = minimal()
         doc["policy"] = bad
         with pytest.raises(ScenarioError):

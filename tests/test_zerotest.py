@@ -8,7 +8,7 @@ import pytest
 import helpers
 from cinfstruct.certs import CheckItem
 from cinfstruct.charts import Chart, parse_rule
-from cinfstruct.errors import EvaluationError, SamplingError, SingularPointError
+from cinfstruct.errors import BadArgumentError, EvaluationError, SamplingError, SingularPointError
 from cinfstruct.zerotest import (
     DEFAULT_POLICY,
     Certainty,
@@ -135,6 +135,29 @@ def test_policy_replace_is_nondestructive():
     q = p.replace(seed=9, samples=3)
     assert (q.seed, q.samples) == (9, 3)
     assert (p.seed, p.samples) == (1, DEFAULT_POLICY.samples)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"samples": 0},
+        {"samples": -1},
+        {"samples": True},
+        {"samples": 2.0},
+        {"seed": False},
+        {"seed": "1"},
+        {"tol": 0.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": True},
+        {"tol": "1e-9"},
+    ],
+)
+def test_a_policy_that_could_pass_on_no_evidence_is_refused(bad):
+    with pytest.raises(BadArgumentError, match="policy"):
+        ZeroTestPolicy(**bad)
+    with pytest.raises(ValueError):
+        DEFAULT_POLICY.replace(**bad)
 
 
 def test_point_mapping_round_trip():
