@@ -17,9 +17,9 @@ Subcommands:
 Exit codes: 0 when every certificate is ok, 1 when a certificate fails or a
 computation refutes the claim, 2 for unusable input (bad file, bad
 expression, bad flags: --samples below 1, a --tol that is not a finite
-number > 0, a --level outside 1..m).  Stdout carries the human-readable report; --report
-writes the machine-readable JSON document, byte-identical for identical
-scenario and seed (no timestamps, no paths).
+number > 0, a --level outside 1..m).  Stdout carries the human-readable
+report; --report writes the machine-readable JSON document, byte-identical
+for identical scenario and seed (no timestamps, no paths).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Scenario files: JSON descriptions of a chart, fields, and a reduction.
 
 A scenario binds everything a command-line run needs: the chart, rewrite
-rules, named vector fields, the ordered
-structure (which names are generators, which are the structure fields), the
-reduction script, and zero-test policy overrides.  Loading is strict: unknown
-keys, unresolved names, bad component counts, non-contiguous levels and
-parametrizations that are not graphs are all reported as
-:class:`~cinfstruct.errors.ScenarioError` before any certification work
-starts.
+rules, named vector fields, the ordered structure (which names are
+generators, which are the structure fields), the reduction script, and
+zero-test policy overrides.  Loading is strict: unknown keys, unresolved
+names, bad component counts, non-contiguous levels, policies that
+``ZeroTestPolicy`` refuses and parametrizations that are not graphs are all
+reported as :class:`~cinfstruct.errors.ScenarioError` before any
+certification work starts.
 
 Parametrizations are given as full component lists (one expression per
 coordinate of the chart being descended from).  Every supported
