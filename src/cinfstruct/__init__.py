@@ -18,7 +18,6 @@ from .errors import (
     DegreeError,
     EvaluationError,
     ExpressionSyntaxError,
-    InconsistentSystemError,
     LinearSolveError,
     NotTangentError,
     RankDeficientError,

@@ -5,18 +5,19 @@ sparse coefficient maps on strictly increasing index tuples (parity is
 normalized on construction); smooth maps are coordinate component lists
 between two charts.  The Lie derivative is *defined* through the Cartan
 identity, and evaluation of a 2-form on a pair of fields provides the
-independent route used by cross-checks.
+independent route used by cross-checks.  Fields pushed through one map share
+one linear solve against its Jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import kernel, linalg, syntax
 from .charts import Chart
-from .errors import ChartError, DegreeError, InconsistentSystemError, NotTangentError
+from .errors import ChartError, DegreeError, NotTangentError
 from .kernel import ZERO, Expression
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, ZeroTestResult
 
@@ -32,7 +33,7 @@ __all__ = [
     "lie_derivative_form",
     "pullback_form",
     "pushforward_field",
-    "pushforward_with_residual",
+    "pushforward_fields",
     "volume_form",
     "d_of_function",
     "compose_maps",
@@ -416,24 +417,30 @@ def pushforward_field(
     point of the inconsistency) and RankDeficientError when the map is not an
     immersion (so no unique W exists).
     """
-    return pushforward_with_residual(m, Z, policy)[0]
-
-
-def pushforward_with_residual(
-    m: SmoothMap, Z: VectorField, policy: ZeroTestPolicy = DEFAULT_POLICY
-) -> tuple[VectorField, ZeroTestResult]:
-    """pushforward_field's W, with the weakest residual zero test of the
-    linear solve: how the tangency of Z was shown, proved or sampled."""
-    if Z.chart != m.target:
-        raise ChartError("field lives on %r, map lands on %r" % (Z.chart.name, m.target.name))
-    jac = m.jacobian()
-    rhs = [m.pull_scalar(c) for c in Z.components]
-    try:
-        sol = linalg.solve_linear(jac, rhs, policy)
-    except InconsistentSystemError as exc:
+    ((W, residual),) = pushforward_fields(m, [Z], policy)
+    if W is None:
         raise NotTangentError(
             "field %s is not tangent to the image of %s"
             % (Z.name or "?", m.name or "the map"),
-            witness=exc.witness,
-        ) from exc
-    return VectorField(m.source, sol.values, name=Z.name), sol.residual
+            witness=residual.witness,
+        )
+    return W
+
+
+def pushforward_fields(
+    m: SmoothMap, fields: Sequence[VectorField], policy: ZeroTestPolicy = DEFAULT_POLICY
+) -> list[tuple[Optional[VectorField], ZeroTestResult]]:
+    """Each field's W, or None when it is not tangent to the image, with the
+    residual zero test of one linear solve against the Jacobian for the whole
+    family: how the tangency was shown, proved or sampled, or the NONZERO
+    result and witness point that refute it.  RankDeficientError when the map
+    is not an immersion."""
+    for Z in fields:
+        if Z.chart != m.target:
+            raise ChartError("field lives on %r, map lands on %r" % (Z.chart.name, m.target.name))
+    columns = [[m.pull_scalar(c) for c in Z.components] for Z in fields]
+    sols = linalg.solve_columns(m.jacobian(), columns, policy)
+    return [
+        (None if s.values is None else VectorField(m.source, s.values, name=Z.name), s.residual)
+        for Z, s in zip(fields, sols)
+    ]

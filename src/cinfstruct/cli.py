@@ -41,6 +41,7 @@ from .errors import (
     UnknownSymbolError,
 )
 from .factors import (
+    _check_level,
     check_relative_integrating_factor,
     check_symmetrizing_factor,
     factor_to_integrating,
@@ -243,7 +244,9 @@ def _cmd_factors(scn: Scenario, policy, emit_solvable: bool) -> tuple[int, list[
     return (0 if ok else 1), lines, doc
 
 
-def _structure_and_dual(scn: Scenario, policy):
+def _structure_and_dual(scn: Scenario, policy, level: int):
+    # A bad level is an input error even where the structure fails.
+    _check_level(len(scn.structure_fields), level)
     structure = check_cinf_structure(scn.distribution, scn.structure_fields, policy)
     if not structure.ok:
         raise CertificationError(
@@ -256,7 +259,7 @@ def _structure_and_dual(scn: Scenario, policy):
 def _cmd_verify_factor(
     scn: Scenario, policy, level: int, kind: str, expr: str
 ) -> tuple[int, list[str], dict]:
-    structure, dual = _structure_and_dual(scn, policy)
+    structure, dual = _structure_and_dual(scn, policy, level)
     candidate = scn.chart.parse(expr)
     if kind == "symmetrizing":
         cert = check_symmetrizing_factor(structure, level, candidate, policy)
@@ -278,7 +281,7 @@ def _cmd_verify_factor(
 def _cmd_convert_factor(
     scn: Scenario, policy, level: int, direction: str, expr: str
 ) -> tuple[int, list[str], dict]:
-    _structure, dual = _structure_and_dual(scn, policy)
+    _structure, dual = _structure_and_dual(scn, policy, level)
     candidate = scn.chart.parse(expr)
     if direction == "f2mu":
         res = factor_to_integrating(dual, level, candidate, policy)

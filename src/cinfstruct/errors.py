@@ -54,15 +54,6 @@ class LinearSolveError(CinfstructError):
     """Base class for symbolic linear algebra failures."""
 
 
-class InconsistentSystemError(LinearSolveError):
-    """The linear system has no solution; carries a witness point."""
-
-    def __init__(self, message, witness=None, residual=None):
-        super().__init__(message)
-        self.witness = witness
-        self.residual = residual
-
-
 class RankDeficientError(LinearSolveError):
     """The linear system does not determine a unique solution."""
 

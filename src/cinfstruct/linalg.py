@@ -4,7 +4,10 @@ Entries are canonical gcd-reduced rational functions, and the elimination
 divides at every step: every intermediate is re-reduced by the kernel, one
 gcd per entry.  Pivots are chosen as the syntactically simplest certified
 nonzero entry (node count, ties by position); the chosen pivots are the
-singular loci of the computation and are reported with every result.
+singular loci of the computation and are reported with every result.  They
+depend only on the matrix, so one elimination of [matrix | columns] solves a
+whole family of right-hand sides, and a column outside the span is a value,
+not an error.
 """
 
 from __future__ import annotations
@@ -14,18 +17,20 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
-from .errors import InconsistentSystemError, RankDeficientError
+from .errors import RankDeficientError
 from .kernel import ONE, ZERO, Expression
-from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, ZeroTestResult, is_zero, weakest
+from .zerotest import DEFAULT_POLICY, Certainty, ZeroTestPolicy, ZeroTestResult, is_zero, weakest
 
-__all__ = ["LinearSolution", "solve_linear", "rank_certified", "det"]
+__all__ = ["LinearSolution", "solve_columns", "solve_linear", "rank_certified", "det"]
 
 
 @dataclass(frozen=True)
 class LinearSolution:
-    values: tuple[Expression, ...]
+    # None when the right-hand side lies outside the column span.
+    values: Optional[tuple[Expression, ...]]
     pivots: tuple[Expression, ...]
     # The weakest of the residual zero tests: proved unless one was sampled.
+    # NONZERO, with a witness point, when values is None.
     residual: ZeroTestResult
 
 
@@ -68,48 +73,64 @@ def _eliminate(rows, ncols, policy) -> tuple[list[tuple[int, int]], list[int]]:
     return where, remaining
 
 
+def solve_columns(
+    matrix: Sequence[Sequence[Expression]],
+    columns: Sequence[Sequence[Expression]],
+    policy: ZeroTestPolicy = DEFAULT_POLICY,
+) -> list[LinearSolution]:
+    """Solve matrix @ x = b for the unique x, for each column b in order, with
+    one elimination of [matrix | every column].
+
+    A column with no solution gets values None and a NONZERO residual carrying
+    the witness point of its first nonzero residual; the residual tests stop
+    there.  The first column that has a solution raises RankDeficientError
+    when the solution would not be unique.  A solved column carries the
+    weakest residual zero test, so a consistency shown only by sampling is not
+    reported as proved.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    rows = [list(r) + list(bs) for r, bs in zip(matrix, zip(*columns))]
+    where, remaining = _eliminate(rows, ncols, policy)
+    pivots = tuple(rows[ri][col] for ri, col in where)
+    out = []
+    for b in range(ncols, ncols + len(columns)):
+        tests = []
+        for rj in remaining:
+            residual = rows[rj][b]
+            if residual.is_zero_expr():
+                continue
+            zt = is_zero(residual, policy)
+            if not zt.certainty.is_zero:
+                outside = ZeroTestResult(Certainty.NONZERO, 1.0, zt.witness)
+                out.append(LinearSolution(None, pivots, outside))
+                break
+            tests.append(zt)
+        else:
+            if len(where) < ncols:
+                raise RankDeficientError(
+                    "linear system does not determine a unique solution (rank %d of %d)"
+                    % (len(where), ncols)
+                )
+            # Back substitution in reverse pivot order.
+            values: list[Expression] = [ZERO] * ncols
+            for (ri, col) in reversed(where):
+                acc = rows[ri][b]
+                for c2 in range(col + 1, ncols):
+                    entry = rows[ri][c2]
+                    if not entry.is_zero_expr():
+                        acc = acc - entry * values[c2]
+                values[col] = acc / rows[ri][col]
+            out.append(LinearSolution(tuple(values), pivots, weakest(tests)))
+    return out
+
+
 def solve_linear(
     matrix: Sequence[Sequence[Expression]],
     rhs: Sequence[Expression],
     policy: ZeroTestPolicy = DEFAULT_POLICY,
 ) -> LinearSolution:
-    """Solve matrix @ x = rhs for the unique x over the expression field.
-
-    Raises InconsistentSystemError (with a witness point on the residual) when
-    no solution exists and RankDeficientError when the solution would not be
-    unique.  The solution carries the weakest residual zero test, so a
-    consistency shown only by sampling is not reported as proved.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    where, remaining = _eliminate(rows, ncols, policy)
-    tests = []
-    for rj in remaining:
-        residual = rows[rj][ncols]
-        if residual.is_zero_expr():
-            continue
-        zt = is_zero(residual, policy)
-        if not zt.certainty.is_zero:
-            raise InconsistentSystemError(
-                "linear system is inconsistent", witness=zt.witness, residual=residual
-            )
-        tests.append(zt)
-    if len(where) < ncols:
-        raise RankDeficientError(
-            "linear system does not determine a unique solution (rank %d of %d)"
-            % (len(where), ncols)
-        )
-    # Back substitution in reverse pivot order.
-    values: list[Expression] = [ZERO] * ncols
-    for (ri, col) in reversed(where):
-        acc = rows[ri][ncols]
-        for c2 in range(col + 1, ncols):
-            entry = rows[ri][c2]
-            if not entry.is_zero_expr():
-                acc = acc - entry * values[c2]
-        values[col] = acc / rows[ri][col]
-    pivots = tuple(rows[ri][col] for ri, col in where)
-    return LinearSolution(tuple(values), pivots, weakest(tests))
+    """solve_columns for the single column rhs."""
+    return solve_columns(matrix, [rhs], policy)[0]
 
 
 def rank_certified(

@@ -3,7 +3,8 @@
 A distribution is spanned by independent generators Z_1..Z_r; an ordered
 family X_1..X_{n-r} is certified level by level: X_k must bracket back into
 the span of {X_k} and the previous members, i.e. [X_k, V] = lambda_V X_k +
-(span part) for every earlier member V.  The dual coframe is produced by
+(span part) for every earlier member V; all of a level's brackets decompose
+over that one basis in a single elimination.  The dual coframe is produced by
 contracting the volume form with all but one of the fields, normalized by the
 full contraction Delta, and is cross-checked against the cofactor expansion
 of the coefficient matrix.
@@ -25,15 +26,9 @@ from .calculus import (
 )
 from .certs import Certificate, CheckItem, bundle
 from .charts import Chart
-from .errors import ChartError, InconsistentSystemError
+from .errors import ChartError
 from .kernel import Expression
-from .zerotest import (
-    DEFAULT_POLICY,
-    Certainty,
-    ZeroTestPolicy,
-    ZeroTestResult,
-    is_zero,
-)
+from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, ZeroTestResult, is_zero
 
 __all__ = [
     "Distribution",
@@ -105,10 +100,12 @@ def check_independent(
 class Decomposition:
     """Coefficients of a field over an ordered basis of fields."""
 
-    coefficients: tuple[Expression, ...]
+    # None when the field leaves the span.
+    coefficients: Optional[tuple[Expression, ...]]
     basis_names: tuple[str, ...]
     pivots: tuple[Expression, ...]
-    # How the field's membership in the span was shown (see solve_linear).
+    # How the field's membership in the span was shown or refuted (see
+    # solve_columns).
     residual: ZeroTestResult
 
     def coefficient(self, name: str) -> Expression:
@@ -124,33 +121,35 @@ class Decomposition:
 
 
 def decompose_in_span(
-    field: VectorField,
+    fields: Sequence[VectorField],
     basis: Sequence[VectorField],
     policy: ZeroTestPolicy = DEFAULT_POLICY,
-) -> Decomposition:
-    """Write field = sum of coefficients * basis, or raise.
+) -> list[Decomposition]:
+    """Write each field as a sum of coefficients * basis, in one elimination.
 
-    InconsistentSystemError (with witness) when the field leaves the span;
-    RankDeficientError when the basis is dependent so coefficients are not
-    unique.
+    A field outside the span gets coefficients None and a NONZERO residual
+    with a witness point; RankDeficientError when the basis is dependent so
+    coefficients are not unique.
     """
+    if not fields:
+        return []
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     chart = basis[0].chart
-    if field.chart != chart:
+    if any(f.chart != chart for f in fields):
         raise ChartError("field and basis live on different charts")
     matrix = [[b.components[i] for b in basis] for i in range(chart.dim)]
-    rhs = list(field.components)
-    sol = linalg.solve_linear(matrix, rhs, policy)
+    sols = linalg.solve_columns(matrix, [f.components for f in fields], policy)
     names = tuple(_label(b, "B%d" % (i + 1)) for i, b in enumerate(basis))
-    return Decomposition(sol.values, names, sol.pivots, sol.residual)
+    return [Decomposition(s.values, names, s.pivots, s.residual) for s in sols]
 
 
 @dataclass(frozen=True)
 class BracketRecord:
     left: str
     right: str
+    # None when the bracket leaves the span.
     decomposition: Optional[Decomposition]
 
 
@@ -160,25 +159,20 @@ def check_involutive(
     """All pairwise brackets of generators decompose back into the span."""
     gens = dist.generators
     names = dist.names()
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    brackets = [lie_bracket(gens[i], gens[j]) for i, j in pairs]
     records = []
     items = []
     loci: list[Expression] = []
     table = {}
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = lie_bracket(gens[i], gens[j])
-            label = "[%s, %s] in span" % (names[i], names[j])
-            try:
-                dec = decompose_in_span(br, gens, policy)
-            except InconsistentSystemError as exc:
-                res = ZeroTestResult(Certainty.NONZERO, 1.0, exc.witness)
-                items.append(CheckItem(label, res, expect_zero=True))
-                records.append(BracketRecord(names[i], names[j], None))
-                continue
-            items.append(CheckItem(label, dec.residual))
-            loci.extend(dec.pivots)
-            records.append(BracketRecord(names[i], names[j], dec))
-            table["[%s, %s]" % (names[i], names[j])] = dec.as_json()
+    for (i, j), dec in zip(pairs, decompose_in_span(brackets, gens, policy)):
+        items.append(CheckItem("[%s, %s] in span" % (names[i], names[j]), dec.residual))
+        if dec.coefficients is None:
+            records.append(BracketRecord(names[i], names[j], None))
+            continue
+        loci.extend(dec.pivots)
+        records.append(BracketRecord(names[i], names[j], dec))
+        table["[%s, %s]" % (names[i], names[j])] = dec.as_json()
     cert = bundle("involutivity", items, loci=loci, structure_constants=table)
     return cert, tuple(records)
 
@@ -206,20 +200,16 @@ class SymmetryResult:
 
 
 def check_cinf_symmetry(
-    dist_or_members,
+    members: Sequence[VectorField],
     field: VectorField,
     policy: ZeroTestPolicy = DEFAULT_POLICY,
 ) -> SymmetryResult:
     """Certify [field, V] = lambda_V field + span(members) for each member V.
 
-    Members may be a Distribution or an explicit sequence of fields; the
-    decomposition basis is (members..., field), so the last coefficient of
-    each decomposition is lambda_V.
+    All brackets decompose, in one elimination, over the basis (members...,
+    field), so the last coefficient of each decomposition is lambda_V.
     """
-    if isinstance(dist_or_members, Distribution):
-        members = tuple(dist_or_members.generators)
-    else:
-        members = tuple(dist_or_members)
+    members = tuple(members)
     basis = list(members) + [field]
     fname = _label(field, "X")
     indep = check_independent(field.chart, basis, policy)
@@ -229,25 +219,15 @@ def check_cinf_symmetry(
     lambdas = []
     coeffs = []
     loci: list[Expression] = []
-    for k, V in enumerate(members):
+    brackets = [lie_bracket(field, V) for V in members]
+    span = ", ".join(_label(m, "?") for m in members)
+    for k, (V, dec) in enumerate(zip(members, decompose_in_span(brackets, basis, policy))):
         vname = _label(V, "V%d" % (k + 1))
-        br = lie_bracket(field, V)
-        label = "[%s, %s] in span{%s, %s}" % (
-            fname,
-            vname,
-            ", ".join(_label(m, "?") for m in members),
-            fname,
-        )
-        try:
-            dec = decompose_in_span(br, basis, policy)
-        except InconsistentSystemError as exc:
-            items.append(
-                CheckItem(label, ZeroTestResult(Certainty.NONZERO, 1.0, exc.witness))
-            )
+        items.append(CheckItem("[%s, %s] in span{%s, %s}" % (fname, vname, span, fname), dec.residual))
+        if dec.coefficients is None:
             lambdas.append(kernel.ZERO)
             coeffs.append(tuple(kernel.ZERO for _ in members))
             continue
-        items.append(CheckItem(label, dec.residual))
         lambdas.append(dec.coefficients[-1])
         coeffs.append(dec.coefficients[:-1])
         loci.extend(dec.pivots)
@@ -296,9 +276,12 @@ class CinfStructure:
         return self.levels[i0 - 1]
 
     def certificate(self) -> Certificate:
+        """The level items, then any failing involutivity or independence
+        item, so that every refutation names a failing check."""
         items = []
         for lv in self.levels:
             items.extend(lv.certificate.items)
+        items.extend(self.involutivity.failing() + self.independence.failing())
         loci = []
         for lv in self.levels:
             loci.extend(lv.certificate.loci)
@@ -507,19 +490,20 @@ class RescaleResult:
 def rescale_symmetry(
     field_or_result,
     h,
-    dist_or_members,
+    members: Optional[Sequence[VectorField]],
     policy: ZeroTestPolicy = DEFAULT_POLICY,
 ) -> RescaleResult:
     """Rescale a certified symmetry X by nonvanishing h and re-certify hX.
 
     The predicted law lambda' = lambda - V(h)/h and span' = h * span is
     verified coefficient by coefficient against a direct re-decomposition of
-    the brackets of hX.
+    the brackets of hX.  The members below X are read only when X is given as
+    a field rather than as its SymmetryResult.
     """
     if isinstance(field_or_result, SymmetryResult):
         base = field_or_result
     else:
-        base = check_cinf_symmetry(dist_or_members, field_or_result, policy)
+        base = check_cinf_symmetry(members, field_or_result, policy)
         if not base.ok:
             from .errors import CertificationError
 

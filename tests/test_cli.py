@@ -310,6 +310,42 @@ def test_a_level_out_of_range_is_an_input_error(capsys, argv, level):
     assert captured.err == "error: level %s out of range 1..2\n" % level
 
 
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (["verify", "factor", SAMPLED_FALSE, "--kind", "symmetrizing", "--expr", "y"], "9"),
+        (["convert", "factor", SAMPLED_FALSE, "--direction", "f2mu", "--expr", "y"], "0"),
+    ],
+)
+def test_a_bad_level_is_an_input_error_before_the_structure_is_certified(capsys, argv, level):
+    # The scenario's structure fails, but the level is checked first.
+    assert main(argv + ["--level", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level %s out of range 1..2\n" % level
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", SAMPLED_FALSE, "cinf-structure"],
+        ["reduce", SAMPLED_FALSE],
+        ["factors", SAMPLED_FALSE, "--emit-solvable"],
+        ["verify", "factor", SAMPLED_FALSE, "--level", "1", "--kind", "symmetrizing", "--expr", "y"],
+        ["convert", "factor", SAMPLED_FALSE, "--direction", "f2mu", "--level", "1", "--expr", "y"],
+    ],
+)
+def test_a_structure_refuted_by_its_involutivity_names_the_failing_check(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    failed = lines.index("FAILED")
+    assert lines[failed + 1 : failed + 3] == [
+        "  failing: [Z1, Z2] in span",
+        "    witness: x = 17/16",
+    ]
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cinfstruct import kernel
+from cinfstruct import kernel, linalg
 from cinfstruct.calculus import VectorField
 from cinfstruct.certs import CheckItem, bundle
 from cinfstruct.charts import Chart
@@ -88,6 +88,25 @@ def test_structure_independence_is_that_of_the_full_frame(name):
     # With no fields on top, the generators alone make the frame.
     full = check_cinf_structure(Distribution(sc.chart, tuple(frame)), ())
     assert full.independence.as_json() == direct
+
+
+@pytest.mark.parametrize("name, expected", [("example31.json", 5), ("airy.json", 6)])
+def test_each_bracket_family_takes_one_elimination(name, expected, monkeypatch):
+    # One elimination for all generator brackets (none below rank 2), and per
+    # level one for the independence and one for all of its brackets.
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    sc = load_scenario(SCENARIOS / name)
+    structure = check_cinf_structure(sc.distribution, sc.structure_fields)
+    assert structure.ok
+    rank = sc.distribution.rank
+    assert len(calls) == (1 if rank >= 2 else 0) + 2 * structure.corank == expected
 
 
 def test_bundle_ands_its_ok_with_the_items():
