@@ -13,6 +13,13 @@ in a fixed graded-lexicographic monomial order.  Two expressions therefore
 compare equal exactly when they are the same rational function of their
 generators.
 
+The operators rely on their operands being canonical already and take gcds
+of the operands, not of their products (Henrici 1956; Knuth, TAOCP 2,
+4.5.1): a product (a/b)(c/d) takes gcd(a, d) and gcd(c, b); a sum over equal
+denominators takes one gcd against the denominator, and over other
+denominators gcd(b, d), then, unless that is 1, the new numerator's gcd with
+it; a power takes none.  No gcd is taken with a constant side.
+
 A :class:`Poly` is a primitive integer part (int coefficients with gcd 1)
 times a positive rational content kept as two ints, so no coefficient
 arithmetic runs on Fractions.  A product of primitive parts is primitive
@@ -878,15 +885,13 @@ def _gcd_deflated(a: Poly, b: Poly) -> Poly:
 def _normalize_pair(num: Poly, den: Poly):
     if den.is_zero():
         raise SingularExpressionError("denominator is identically zero")
+    return _canon_coprime(*_cancel(num, den))
+
+
+def _canon_coprime(num: Poly, den: Poly):
+    """The canonical pair of num/den for coprime num and nonzero den."""
     if num.is_zero():
         return _POLY_ZERO, _POLY_ONE
-    if den.is_one():
-        return num, den
-    if not den.is_const():
-        g = poly_gcd(num, den)
-        if not g.is_one():
-            num = exact_div(num, g)
-            den = exact_div(den, g)
     # The denominator keeps its integer part with a positive leading
     # coefficient, and the numerator takes its content and sign; dividing
     # by a monic-making rational instead lets huge fractions compound
@@ -895,6 +900,31 @@ def _normalize_pair(num: Poly, den: Poly):
         return num._scaled(den.terms[_MONO_ONE] < 0, den.cd, den.cn), _POLY_ONE
     neg = den.terms[den._lead_mono()] < 0
     return num._scaled(neg, den.cd, den.cn), _normalize_primitive(den)
+
+
+def _gcd(p: Poly, q: Poly) -> Poly:
+    """poly_gcd, with no call when a side is constant: it shares no factor."""
+    if p.is_const() or q.is_const():
+        return _POLY_ONE
+    return poly_gcd(p, q)
+
+
+def _cancel(p: Poly, q: Poly):
+    """p and q divided by their gcd."""
+    g = _gcd(p, q)
+    if g.is_one():
+        return p, q
+    return exact_div(p, g), exact_div(q, g)
+
+
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> "Expression":
+    """(a/b)(c/d) for coprime a, b and coprime c, d: cancelling a against d
+    and c against b leaves a coprime product (Henrici 1956)."""
+    if a.is_zero() or c.is_zero():
+        return ZERO
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return Expression(*_canon_coprime(a * c, b * d), _raw=True)
 
 
 _Scalar = Union[int, Fraction]
@@ -1005,11 +1035,21 @@ class Expression:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b, c, d = self.num, self.den, o.num, o.den
         # Canonical denominators have content 1, so equal terms are equal
-        # denominators.
-        if self.den is o.den or self.den.terms == o.den.terms:
-            return Expression(self.num + o.num, self.den)
-        return Expression(self.num * o.den + o.num * self.den, self.den * o.den)
+        # denominators; the sum then takes one gcd against the denominator.
+        if b is d or b.terms == d.terms:
+            return Expression(a + c, b)
+        # Otherwise the gcds are of denominators, never of products
+        # (Henrici 1956): with g = gcd(b, d) and t = a (d/g) + c (b/g), the
+        # sum is t / (b d/g) and gcd(t, b d/g) = gcd(t, g).  Over coprime
+        # denominators no gcd is left to take.
+        g = _gcd(b, d)
+        if g.is_one():
+            return Expression(*_canon_coprime(a * d + c * b, b * d), _raw=True)
+        b, d = exact_div(b, g), exact_div(d, g)
+        t, g = _cancel(a * d + c * b, g)
+        return Expression(*_canon_coprime(t, b * d * g), _raw=True)
 
     __radd__ = __add__
 
@@ -1032,7 +1072,7 @@ class Expression:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Expression(self.num * o.num, self.den * o.den)
+        return _product(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -1042,7 +1082,7 @@ class Expression:
             return NotImplemented
         if o.num.is_zero():
             raise SingularExpressionError("division by an identically zero expression")
-        return Expression(self.num * o.den, self.den * o.num)
+        return _product(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -1054,11 +1094,13 @@ class Expression:
         k = int(k)
         if k == 0:
             return ONE
+        num, den = self.num, self.den
         if k < 0:
-            if self.num.is_zero():
+            if num.is_zero():
                 raise SingularExpressionError("zero raised to a negative power")
-            return Expression(self.den.pow_int(-k), self.num.pow_int(-k))
-        return Expression(self.num.pow_int(k), self.den.pow_int(k))
+            num, den, k = den, num, -k
+        # Powers of coprime polynomials are coprime: no gcd.
+        return Expression(*_canon_coprime(num.pow_int(k), den.pow_int(k)), _raw=True)
 
 
 ZERO = Expression(_POLY_ZERO, _POLY_ONE, _raw=True)

@@ -1,8 +1,9 @@
 """Symbolic linear algebra over the expression field.
 
 Entries are canonical gcd-reduced rational functions, and the elimination
-divides at every step: every intermediate is re-reduced by the kernel, one
-gcd per entry.  Pivots are chosen as the syntactically simplest certified
+divides at every step: every intermediate is re-reduced by the kernel, whose
+operators take their gcds of the operands (the kernel docstring gives the
+cost per operator).  Pivots are chosen as the syntactically simplest certified
 nonzero entry (node count, ties by position); the chosen pivots are the
 singular loci of the computation and are reported with every result.  They
 depend only on the matrix, so one elimination of [matrix | columns] solves a
@@ -21,7 +22,7 @@ from .errors import RankDeficientError
 from .kernel import ONE, ZERO, Expression
 from .zerotest import DEFAULT_POLICY, Certainty, ZeroTestPolicy, ZeroTestResult, is_zero, weakest
 
-__all__ = ["LinearSolution", "solve_columns", "solve_linear", "rank_certified", "det"]
+__all__ = ["LinearSolution", "solve_columns", "solve_linear", "rank_certified", "rank_evidence", "det"]
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,26 @@ def rank_certified(
     pivots) carries, when it found one, a witness point that makes every
     pivot nonzero simultaneously.
     """
+    return rank_evidence(matrix, policy)[:3]
+
+
+def rank_evidence(
+    matrix: Sequence[Sequence[Expression]],
+    policy: ZeroTestPolicy = DEFAULT_POLICY,
+) -> tuple[int, tuple[Expression, ...], Optional[ZeroTestResult], Optional[ZeroTestResult]]:
+    """rank_certified, then the evidence that the rank is no higher: the
+    weakest zero test of the entries left in the rows that took no pivot
+    (None when every row took one)."""
     rows = [list(r) for r in matrix]
-    where, _remaining = _eliminate(rows, len(rows[0]) if rows else 0, policy)
+    where, remaining = _eliminate(rows, len(rows[0]) if rows else 0, policy)
     pivots = tuple(rows[ri][col] for ri, col in where)
     product_test = is_zero(reduce(operator.mul, pivots), policy) if pivots else None
-    return len(pivots), pivots, product_test
+    leftover = None
+    if remaining:
+        leftover = weakest(
+            is_zero(e, policy) for ri in remaining for e in rows[ri] if not e.is_zero_expr()
+        )
+    return len(pivots), pivots, product_test, leftover
 
 
 def det(matrix: Sequence[Sequence[Expression]]) -> Expression:

@@ -86,13 +86,22 @@ def check_independent(
     loci, and the witness point (in the payload) makes all pivots nonzero.
     """
     matrix = [list(f.components) for f in fields]
-    rank, pivots, product_test = linalg.rank_certified(matrix, policy)
+    rank, pivots, product_test, leftover = linalg.rank_evidence(matrix, policy)
     items = []
     payload = {"rank": rank, "fields": len(matrix)}
     if product_test is not None:
         items.append(CheckItem("pivot product is nonzero", product_test, expect_zero=False))
         if product_test.witness is not None:
             payload["witness_point"] = product_test.witness.as_json()
+    if leftover is not None:
+        # The rows that took no pivot vanish: the frame is dependent.
+        items.append(
+            CheckItem(
+                "rows left without a pivot are nonzero (rank %d of %d)" % (rank, len(matrix)),
+                leftover,
+                expect_zero=False,
+            )
+        )
     return bundle("independence", items, loci=pivots, ok=rank == len(matrix), **payload)
 
 
@@ -214,7 +223,19 @@ def check_cinf_symmetry(
     fname = _label(field, "X")
     indep = check_independent(field.chart, basis, policy)
     # Independence enters through the certificate payload; items hold the
-    # bracket checks.
+    # bracket checks.  Over a dependent basis the brackets have no unique
+    # decomposition, so the level is refuted by the failing independence
+    # items and every lambda and coefficient is left zero.
+    if not indep.ok:
+        zeros = tuple(kernel.ZERO for _ in members)
+        cert = bundle(
+            "cinf-symmetry",
+            indep.failing(),
+            ok=False,
+            field=fname,
+            independence=indep.as_json(),
+        )
+        return SymmetryResult(field, members, zeros, tuple(zeros for _ in members), cert, indep)
     items = []
     lambdas = []
     coeffs = []
@@ -281,7 +302,11 @@ class CinfStructure:
         items = []
         for lv in self.levels:
             items.extend(lv.certificate.items)
-        items.extend(self.involutivity.failing() + self.independence.failing())
+        # A level over a dependent basis already holds the independence
+        # items that fail.
+        for item in self.involutivity.failing() + self.independence.failing():
+            if item not in items:
+                items.append(item)
         loci = []
         for lv in self.levels:
             loci.extend(lv.certificate.loci)

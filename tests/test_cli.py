@@ -16,6 +16,7 @@ import helpers
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 EX31 = str(SCENARIOS / "example31.json")
 AIRY = str(SCENARIOS / "airy.json")
+DEPENDENT = str(Path(__file__).resolve().parent / "data" / "dependent_frame.json")
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -47,6 +48,15 @@ def test_check_independence_ok(capsys):
     assert main(["check", EX31, "independence"]) == 0
     out = capsys.readouterr().out
     assert "frame of 4 fields on a 4-dimensional chart" in out
+
+
+@pytest.mark.parametrize("what", ["independence", "cinf-structure"])
+def test_a_dependent_frame_is_refuted_by_a_named_item(what, capsys):
+    # Z1 = d/dx, X1 = d/dy, X2 = x d/dy: rank 2 of 3.
+    assert main(["check", DEPENDENT, what]) == 1
+    captured = capsys.readouterr()
+    assert "FAILED\n  failing: rows left without a pivot are nonzero (rank 2 of 3)\n" in captured.out
+    assert "linear system" not in captured.out + captured.err
 
 
 def test_check_involutive_refuted(tmp_path, capsys):

@@ -5,11 +5,14 @@ A 3x3 system with single-monomial entries took tens of seconds and a 4x4
 system with entries c*x_i + c0 did not finish in a minute while the gcd was
 a primitive PRS alone.  Each must now solve within a few seconds, the
 solution must satisfy the system canonically, and the determinant must
-match sympy's.
+match sympy's.  A seeded 6x6 system from the benchmark's generator solves
+the same way.
 """
 
+import importlib.util
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from cinfstruct.linalg import det, rank_certified, solve_columns, solve_linear
 from cinfstruct.zerotest import PROVED, Certainty, evaluate
 
 CH = Chart("L", ("x1", "x2", "x3", "x4"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 SYSTEM_3 = (
     [["-3*x2", "3*x3", "-2*x3"], ["-1", "-3*x4", "3"], ["3*x4", "-x3", "x1"]],
@@ -58,6 +62,22 @@ def test_former_gcd_hangs_solve_within_budget(system):
     expect = sympy.Matrix([[sympy.sympify(t) for t in row] for row in rows]).det()
     got = sympy.sympify(syntax.format_expression(d).replace("^", "**"))
     assert sympy.expand(got - expect) == 0
+
+
+def test_seeded_6x6_system_solves():
+    spec = importlib.util.spec_from_file_location("gen", BENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    case = gen.linear_system(random.Random(3), 6, 1, 2)
+    matrix = [[CH.parse(t) for t in row] for row in case["matrix"]]
+    b = [CH.parse(t) for t in case["rhs"]]
+    kernel._GCD_CACHE.clear()
+    t0 = time.monotonic()
+    sol = solve_linear(matrix, b)
+    assert time.monotonic() - t0 < 5.0
+    for row, bi in zip(matrix, b):
+        residual = sum((a * x for a, x in zip(row, sol.values)), kernel.ZERO) - bi
+        assert residual.is_zero_expr()
 
 
 def _random_entry(rng):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cinfstruct import kernel, linalg
+from cinfstruct import kernel, linalg, structures
 from cinfstruct.calculus import VectorField
 from cinfstruct.certs import CheckItem, bundle
 from cinfstruct.charts import Chart
@@ -24,7 +24,7 @@ from cinfstruct.structures import (
     rescale_symmetry,
 )
 from cinfstruct.scenario import load_scenario
-from cinfstruct.zerotest import Certainty, ZeroTestResult
+from cinfstruct.zerotest import PROVED, Certainty, ZeroTestResult
 
 import helpers
 
@@ -76,6 +76,32 @@ def test_independence_certificate_carries_the_rank(dim4):
     dep = check_independent(dim4.chart, [X1, doubled])
     assert not dep.ok
     assert dict(dep.payload)["rank"] == 1
+    # The certificate names the failing item: the row without a pivot is
+    # proved to vanish.
+    (failing,) = dep.failing()
+    assert failing.label == "rows left without a pivot are nonzero (rank 1 of 2)"
+    assert failing.result == PROVED
+
+
+def test_a_level_over_a_dependent_basis_decomposes_nothing(monkeypatch):
+    ch = Chart("D", ("x", "y", "z"))
+    Z1 = helpers.field(ch, "Z1", 1, 0, 0)
+    X1 = helpers.field(ch, "X1", 0, 1, 0)
+    X2 = helpers.field(ch, "X2", 0, "x", 0)
+
+    def refuse(*_args):
+        raise AssertionError("decomposed over a dependent basis")
+
+    monkeypatch.setattr(structures, "decompose_in_span", refuse)
+    level = check_cinf_symmetry((Z1, X1), X2)
+    assert not level.ok
+    assert level.certificate.items == level.independence.failing()
+    assert level.lambdas == (kernel.ZERO, kernel.ZERO)
+    monkeypatch.undo()
+    structure = check_cinf_structure(Distribution(ch, (Z1,)), (X1, X2))
+    assert not structure.ok
+    failing = structure.certificate().failing()
+    assert [it.label for it in failing] == ["rows left without a pivot are nonzero (rank 2 of 3)"]
 
 
 @pytest.mark.parametrize("name", ["example31.json", "airy.json"])
