@@ -77,14 +77,11 @@ class VectorField:
 
 
 def apply_field(X: VectorField, f) -> Expression:
-    """Directional derivative X(f)."""
-    f = X.chart.coerce(f)
-    acc = ZERO
-    for comp, coord in zip(X.components, X.chart.coords):
-        if comp.is_zero_expr():
-            continue
-        acc = acc + comp * X.chart.differentiate(f, coord)
-    return acc
+    """Directional derivative X(f), as one derivation of f over one common
+    denominator (kernel.derive): one gcd of f's denominator with its
+    derivative, then the new numerator's gcds with the leftover factors."""
+    pairs = [(x, c) for x, c in zip(X.chart.coords, X.components) if not c.is_zero_expr()]
+    return kernel.derive(X.chart.coerce(f), pairs, X.chart.rules)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:

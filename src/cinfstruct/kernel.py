@@ -35,6 +35,11 @@ huge evaluated integers, and when GCDHEU fails at all of its evaluation
 points.  Both return the same normalized polynomial, so the choice never
 shows in a canonical form.
 
+A derivative along X = sum c d/dvar (a partial derivative is one term) is
+one polynomial derivation D = w X, w the lcm of the generators' image
+denominators: D n and D d are each one sum, and with g = gcd(d, D d) the
+only other gcds are of the new numerator with g and with w (Bronstein,
+Symbolic Integration I, ch. 3), never with d^2.
 Differentiation applies registered rewrite rules on the fly, so derivative
 applications at or above a rule's order never appear in a canonical
 expression.  Rules must strictly lower derivative orders; a depth guard turns
@@ -59,6 +64,7 @@ __all__ = [
     "const_expr",
     "app",
     "elem",
+    "derive",
     "differentiate",
     "substitute",
     "ELEMENTARY_FUNCTIONS",
@@ -1223,30 +1229,28 @@ def elem(func: str, arg: Expression) -> Expression:
 _HALF = Fraction(1, 2)
 
 
-def _diff_gen(g: Gen, var: str, rules: Rules) -> Expression:
+def _derive_gen(g: Gen, field: dict, rules: Rules) -> Expression:
+    """X(g) for X = sum of c * d/dvar over field's (var, c) items."""
     if g.kind == _SYM:
-        return ONE if g.name == var else ZERO
-    if g.kind == _APP:
-        if len(g.args) == 1:
-            darg = differentiate(g.args[0], var, rules)
-            if darg.is_zero_expr():
-                return ZERO
-            return app(g.name, g.args, (g.orders[0] + 1,), rules) * darg
+        return field.get(g.name, ZERO)
+    if g.kind == _APP and len(g.args) != 1:
         # Multi-argument applications are opaque: representable only while
-        # their derivative in this direction vanishes.
-        if all(differentiate(a, var, rules).is_zero_expr() for a in g.args):
-            return ZERO
-        raise RewriteError(
-            "cannot differentiate multi-argument function %r in %s; "
-            "model it as univariate applications with rewrite rules" % (g.name, var)
-        )
-    # elementary
+        # their derivative in each direction of the field vanishes.
+        for var in field:
+            if not all(derive(a, ((var, ONE),), rules).is_zero_expr() for a in g.args):
+                raise RewriteError(
+                    "cannot differentiate multi-argument function %r in %s; "
+                    "model it as univariate applications with rewrite rules" % (g.name, var)
+                )
+        return ZERO
     arg = g.args[0]
-    darg = differentiate(arg, var, rules)
+    darg = derive(arg, field, rules)
     if darg.is_zero_expr():
         return ZERO
     f = g.name
-    if f == "exp":
+    if g.kind == _APP:
+        outer = app(f, g.args, (g.orders[0] + 1,), rules)
+    elif f == "exp":
         outer = from_gen(g)
     elif f == "ln":
         outer = ONE / arg
@@ -1261,32 +1265,62 @@ def _diff_gen(g: Gen, var: str, rules: Rules) -> Expression:
     return outer * darg
 
 
-def _diff_poly(p: Poly, var: str, rules: Rules) -> Expression:
-    total = ZERO
+def _derive_poly(p: Poly, images: dict) -> Poly:
+    """D(p) for the derivation D with D(g) = images.get(g, 0), as one _sum."""
+    pieces = []
     for m, c in p.terms.items():
-        for idx, (g, e) in enumerate(m):
-            dg = _diff_gen(g, var, rules)
-            if dg.is_zero_expr():
-                continue
-            rest = list(m)
-            if e == 1:
-                del rest[idx]
-            else:
-                rest[idx] = (g, e - 1)
-            piece = Expression(_from_ints({tuple(rest): c * e}, p.cn, p.cd), _POLY_ONE, _raw=True)
-            total = total + piece * dg
-    return total
+        for i, (g, e) in enumerate(m):
+            dg = images.get(g)
+            if dg is not None:
+                rest = m[:i] + ((g, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+                shifted = {_mono_mul(rest, k): t for k, t in dg.terms.items()}
+                pieces.append((c * e, Poly(shifted, dg.cn, dg.cd)))
+    return _sum(pieces)._scaled(False, p.cn, p.cd)
+
+
+def derive(e: Expression, pairs, rules: Rules = ()) -> Expression:
+    """X(e) for X = sum of c * d/dvar over (var, c) pairs of distinct
+    variables and Expression coefficients, rewrite rules applied.
+
+    With D = w X, g = gcd(d, D d) and h = d/g, X(n/d) = t/(w g h^2) for
+    t = D(n) h - n (D d/g).  t is coprime to h: an irreducible p with
+    p^k || d either divides D p, and then not h, or divides h once and not t.
+    """
+    field = dict(pairs)
+    n, d = e.num, e.den
+    images: dict = {}
+    for p in (n, d):
+        for m in p.terms:
+            for gen, _ in m:
+                if gen not in images:
+                    images[gen] = _derive_gen(gen, field, rules)
+    w, dens = _POLY_ONE, []
+    for x in images.values():
+        if not x.den.is_one() and all(x.den.terms != b.terms for b in dens):
+            dens.append(x.den)
+            w = w * exact_div(x.den, _gcd(w, x.den))
+    images = {
+        gen: x.num * (w if x.den.is_one() else exact_div(w, x.den))
+        for gen, x in images.items()
+        if x.num.terms
+    }
+    dn, dd = _derive_poly(n, images), _derive_poly(d, images)
+    if dd.is_zero():
+        g, h, t = d, _POLY_ONE, dn
+    else:
+        g = _gcd(d, dd)
+        h, q = (d, dd) if g.is_one() else (exact_div(d, g), exact_div(dd, g))
+        t = dn * h - n * q
+    if t.is_zero():
+        return ZERO
+    t, g = _cancel(t, g)
+    t, w = _cancel(t, w)
+    return Expression(*_canon_coprime(t, w * g * h * h), _raw=True)
 
 
 def differentiate(e: Expression, var: str, rules: Rules = ()) -> Expression:
     """Partial derivative with rewrite rules applied to closure."""
-    dn = _diff_poly(e.num, var, rules)
-    if e.den.is_one():
-        return dn
-    dd = _diff_poly(e.den, var, rules)
-    den = Expression(e.den, _POLY_ONE, _raw=True)
-    num = Expression(e.num, _POLY_ONE, _raw=True)
-    return (dn * den - num * dd) / (den * den)
+    return derive(e, ((var, ONE),), rules)
 
 
 # --------------------------------------------------------------------------

@@ -117,7 +117,7 @@ class ReductionStep:
 @dataclass
 class ReductionState:
     structure: CinfStructure
-    dual: DualForms
+    dual: Optional[DualForms]  # None when the structure is refuted
     policy: ZeroTestPolicy
     stages: list[Stage] = field(default_factory=list)
     steps: list[ReductionStep] = field(default_factory=list)
@@ -154,16 +154,20 @@ def init_reduction(
     fields: Sequence[VectorField],
     policy: ZeroTestPolicy = DEFAULT_POLICY,
 ) -> ReductionState:
-    """Certify the structure and its dual coframe; open the first stage."""
+    """Certify the structure, then its dual coframe; open the first stage.
+
+    A refuted structure gets no dual coframe and its stage no forms:
+    nothing can descend from it.
+    """
     structure = check_cinf_structure(dist, fields, policy)
-    dual = dual_one_forms(structure, policy)
+    dual = dual_one_forms(structure, policy) if structure.ok else None
     state = ReductionState(structure, dual, policy)
     state.stages.append(
         Stage(
             structure.chart,
             tuple(structure.distribution.generators),
             tuple(structure.fields),
-            tuple(dual.omegas),
+            tuple(dual.omegas) if dual else (),
             structure,
         )
     )
@@ -186,8 +190,10 @@ def verify_first_integral(state: ReductionState, integral) -> Certificate:
     """Certify a first integral for the current top level.
 
     Items: every member below the top kills I; dI wedge (top form) vanishes;
-    dI itself does not; the top field does not kill I.
+    dI itself does not; the top field does not kill I.  A refuted structure
+    raises CertificationError.
     """
+    _require_certified(state)
     policy = state.policy
     stage = state.current
     if not stage.fields:

@@ -18,7 +18,12 @@ from cinfstruct import reduction as rd
 from cinfstruct import structures as st
 from cinfstruct.calculus import KForm, VectorField
 from cinfstruct.charts import Chart, parse_rule
-from cinfstruct.errors import EvaluationError, SingularExpressionError, SingularPointError
+from cinfstruct.errors import (
+    EvaluationError,
+    RewriteError,
+    SingularExpressionError,
+    SingularPointError,
+)
 
 
 def field(chart, name, *comps):
@@ -339,3 +344,68 @@ def struct_key_reference(p):
     denominator."""
     ordered = sorted(p.rational_terms(), key=lambda mc: kernel._mono_key(mc[0]), reverse=True)
     return tuple((tuple((g.key, e) for g, e in m), c.numerator, c.denominator) for m, c in ordered)
+
+
+# ---------------------------------------------------------------------------
+# Reference derivatives: kernel.differentiate and calculus.apply_field as
+# they were before both went through kernel.derive.  Each chain-rule term
+# is a canonical Expression added into a running sum, the quotient rule
+# divides by the squared denominator, and a directional derivative adds one
+# partial derivative per nonzero component.  A raised derivative order
+# still goes through kernel.app, and so through its rewrite rules.
+
+_HALF = Fraction(1, 2)
+
+
+def derive_reference(e, pairs, rules=()):
+    """X(e) for X = sum of c * d/dvar over (var, c) pairs, one partial at a time."""
+    total = kernel.ZERO
+    for var, c in pairs:
+        if not c.is_zero_expr():
+            total = total + c * differentiate_reference(e, var, rules)
+    return total
+
+
+def differentiate_reference(e, var, rules=()):
+    """Partial derivative by the quotient rule over the squared denominator."""
+    dn = _diff_poly_reference(e.num, var, rules)
+    if e.den.is_one():
+        return dn
+    dd = _diff_poly_reference(e.den, var, rules)
+    den, num = kernel.Expression(e.den), kernel.Expression(e.num)
+    return (dn * den - num * dd) / (den * den)
+
+
+def _diff_poly_reference(p, var, rules):
+    total = kernel.ZERO
+    for m, c in p.rational_terms():
+        for idx, (g, e) in enumerate(m):
+            dg = _diff_gen_reference(g, var, rules)
+            if dg.is_zero_expr():
+                continue
+            piece = kernel.const_expr(c * e) * kernel.from_gen(g) ** (e - 1)
+            for other, k in m[:idx] + m[idx + 1:]:
+                piece = piece * kernel.from_gen(other) ** k
+            total = total + piece * dg
+    return total
+
+
+def _diff_gen_reference(g, var, rules):
+    if g.kind == kernel.SYM_KIND:
+        return kernel.ONE if g.name == var else kernel.ZERO
+    darg = [differentiate_reference(a, var, rules) for a in g.args]
+    if all(d.is_zero_expr() for d in darg):
+        return kernel.ZERO
+    if g.kind == kernel.APP_KIND:
+        if len(g.args) != 1:
+            raise RewriteError("multi-argument function %r in %s" % (g.name, var))
+        return kernel.app(g.name, g.args, (g.orders[0] + 1,), rules) * darg[0]
+    (arg,) = g.args
+    outer = {
+        "exp": lambda: kernel.from_gen(g),
+        "ln": lambda: kernel.ONE / arg,
+        "sin": lambda: kernel.elem("cos", arg),
+        "cos": lambda: -kernel.elem("sin", arg),
+        "sqrt": lambda: kernel.const_expr(_HALF) / kernel.from_gen(g),
+    }[g.name]()
+    return outer * darg[0]

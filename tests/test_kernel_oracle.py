@@ -2,8 +2,10 @@
 
 Random rational expressions in x, y, z are built twice, once with the
 kernel's arithmetic and once in sympy.  The kernel's canonical form must
-equal sympy's ``cancel`` of the same expression, and its derivative must
-equal ``sympy.diff``.  Every Poly the kernel makes on the way must keep the
+equal sympy's ``cancel`` of the same expression, its derivative must
+equal ``sympy.diff``, and its derivative along a field with such
+components over x, y and z must equal the sum of components times
+``sympy.diff``.  Every Poly the kernel makes on the way must keep the
 representation's rules: a primitive integer part (nonzero ints with gcd 1)
 and a positive content in lowest terms; a canonical denominator has content
 1 and a positive leading term.  Its ``struct_key`` must be the tuple built
@@ -155,6 +157,18 @@ def test_differentiate_matches_sympy_diff(tree, var):
     with _every_poly() as made:
         de = kernel.differentiate(e, var)
     _check(de, sympy.diff(s, SYMS[var]), made)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees, st.lists(trees, min_size=3, max_size=3))
+def test_directional_derivatives_match_sympy(tree, comp_trees):
+    e, s = _build(tree)
+    comps = [_build(t) for t in comp_trees]
+    pairs = [(v, c) for v, (c, _) in zip(CH.coords, comps) if not c.is_zero_expr()]
+    with _every_poly() as made:
+        de = kernel.derive(e, pairs)
+    want = sympy.Add(*[c * sympy.diff(s, SYMS[v]) for v, (_, c) in zip(CH.coords, comps)])
+    _check(de, want, made)
 
 
 def test_contents_and_signs_in_a_worked_case():

@@ -5,11 +5,19 @@ objects are never mutated here) and builds fresh states for every failure
 path, since a refused descent must leave its state exactly as it was.
 """
 
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
 import pytest
 
 from cinfstruct import kernel
+from cinfstruct import reduction as rd
 from cinfstruct.calculus import SmoothMap
 from cinfstruct.charts import Chart
+from cinfstruct.cli import main
 from cinfstruct.errors import CertificationError, ChartError
 from cinfstruct.reduction import (
     build_solvable_structure,
@@ -22,6 +30,7 @@ from cinfstruct.reduction import (
     verify_first_integral,
     verify_integral_manifold,
 )
+from cinfstruct.scenario import load_scenario
 from cinfstruct.structures import Distribution, check_cinf_symmetry
 from cinfstruct.zerotest import Certainty
 
@@ -269,3 +278,33 @@ def test_sampled_residuals_are_not_reported_proved():
         "Z1 is tangent to the manifold": Certainty.PROVED_ZERO,
         "Z2 is tangent to the manifold": Certainty.PROBABLY_ZERO,
     }
+
+
+# [Z1, Z2] leaves the span by x/1000: the structure is refuted.  The digests
+# are of the exit code, stdout, stderr and --report text, as in test_golden.
+SAMPLED_FALSE = str(Path(__file__).resolve().parent / "data" / "sampled_shear_false.json")
+REFUTED_DIGESTS = {
+    "reduce": "6e8ceb0c47dbeaa9c3375ca10a03b0772c4a195a518251ed0d393f2a41f73f9d",
+    "factors": "de3a00c6332e45a5d44da48f5d608ca21f29517459221617453b6be6490cbbbc",
+}
+
+
+def test_a_refuted_structure_builds_no_dual_forms(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("dual forms built for a refuted structure")
+
+    monkeypatch.setattr(rd, "dual_one_forms", refuse)
+    sc = load_scenario(SAMPLED_FALSE)
+    state = init_reduction(sc.distribution, sc.structure_fields, sc.policy)
+    assert state.dual is None and state.current.forms == () and not state.ok
+    with pytest.raises(CertificationError, match="not a certified structure"):
+        verify_first_integral(state, "x")
+
+    report = tmp_path / "report.json"
+    for command, want in REFUTED_DIGESTS.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, SAMPLED_FALSE, "--report", str(report)])
+        blob = json.dumps([code, out.getvalue(), err.getvalue(), report.read_text()])
+        assert code == 1
+        assert hashlib.sha256(blob.encode()).hexdigest() == want
