@@ -34,6 +34,7 @@ __all__ = [
     "pullback_form",
     "pushforward_field",
     "pushforward_fields",
+    "pushforward_tangent",
     "volume_form",
     "d_of_function",
     "compose_maps",
@@ -414,14 +415,24 @@ def pushforward_field(
     point of the inconsistency) and RankDeficientError when the map is not an
     immersion (so no unique W exists).
     """
-    ((W, residual),) = pushforward_fields(m, [Z], policy)
-    if W is None:
-        raise NotTangentError(
-            "field %s is not tangent to the image of %s"
-            % (Z.name or "?", m.name or "the map"),
-            witness=residual.witness,
-        )
-    return W
+    return pushforward_tangent(m, [Z], policy)[0]
+
+
+def pushforward_tangent(
+    m: SmoothMap, fields: Sequence[VectorField], policy: ZeroTestPolicy = DEFAULT_POLICY
+) -> tuple[VectorField, ...]:
+    """pushforward_field for each field, from one pushforward_fields solve;
+    NotTangentError names the first field, in order, that is not tangent."""
+    out = []
+    for Z, (W, residual) in zip(fields, pushforward_fields(m, fields, policy)):
+        if W is None:
+            raise NotTangentError(
+                "field %s is not tangent to the image of %s"
+                % (Z.name or "?", m.name or "the map"),
+                witness=residual.witness,
+            )
+        out.append(W)
+    return tuple(out)
 
 
 def pushforward_fields(

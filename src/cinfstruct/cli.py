@@ -25,6 +25,7 @@ for identical scenario and seed (no timestamps, no paths).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -244,7 +245,7 @@ def _cmd_factors(scn: Scenario, policy, emit_solvable: bool) -> tuple[int, list[
     return (0 if ok else 1), lines, doc
 
 
-def _structure_and_dual(scn: Scenario, policy, level: int):
+def _certified_structure(scn: Scenario, policy, level: int):
     # A bad level is an input error even where the structure fails.
     _check_level(len(scn.structure_fields), level)
     structure = check_cinf_structure(scn.distribution, scn.structure_fields, policy)
@@ -253,15 +254,17 @@ def _structure_and_dual(scn: Scenario, policy, level: int):
             "the scenario's ordered fields are not a certified structure",
             certificate=structure.certificate(),
         )
-    return structure, dual_one_forms(structure, policy)
+    return structure
 
 
 def _cmd_verify_factor(
     scn: Scenario, policy, level: int, kind: str, expr: str
 ) -> tuple[int, list[str], dict]:
-    structure, dual = _structure_and_dual(scn, policy, level)
+    structure = _certified_structure(scn, policy, level)
+    # A symmetrizing factor is checked against the structure alone.
+    dual = None if kind == "symmetrizing" else dual_one_forms(structure, policy)
     candidate = scn.chart.parse(expr)
-    if kind == "symmetrizing":
+    if dual is None:
         cert = check_symmetrizing_factor(structure, level, candidate, policy)
     else:
         cert = check_relative_integrating_factor(dual, level, candidate, policy)
@@ -281,7 +284,7 @@ def _cmd_verify_factor(
 def _cmd_convert_factor(
     scn: Scenario, policy, level: int, direction: str, expr: str
 ) -> tuple[int, list[str], dict]:
-    _structure, dual = _structure_and_dual(scn, policy, level)
+    dual = dual_one_forms(_certified_structure(scn, policy, level), policy)
     candidate = scn.chart.parse(expr)
     if direction == "f2mu":
         res = factor_to_integrating(dual, level, candidate, policy)
@@ -315,7 +318,9 @@ def _cmd_convert_factor(
 # Argument surface.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared after it."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--seed", type=int, default=None, help="zero-test sampling seed (default 0)")
     flags.add_argument("--samples", type=int, default=None, help="sample count per zero test (default 20)")

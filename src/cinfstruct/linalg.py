@@ -8,7 +8,10 @@ nonzero entry (node count, ties by position); the chosen pivots are the
 singular loci of the computation and are reported with every result.  They
 depend only on the matrix, so one elimination of [matrix | columns] solves a
 whole family of right-hand sides, and a column outside the span is a value,
-not an error.
+not an error; with unit columns it gives the cofactors of chosen rows.
+
+``det`` stays a Laplace expansion: the benchmark times it on 2x2 systems,
+where it beats an elimination, and tests use it as a reference for cofactors.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from .errors import RankDeficientError
 from .kernel import ONE, ZERO, Expression
 from .zerotest import DEFAULT_POLICY, Certainty, ZeroTestPolicy, ZeroTestResult, is_zero, weakest
 
-__all__ = ["LinearSolution", "solve_columns", "solve_linear", "rank_certified", "rank_evidence", "det"]
+__all__ = [
+    "LinearSolution", "solve_columns", "solve_linear", "rank_certified", "rank_evidence",
+    "cofactors", "det",
+]
 
 
 @dataclass(frozen=True)
@@ -112,17 +118,22 @@ def solve_columns(
                     "linear system does not determine a unique solution (rank %d of %d)"
                     % (len(where), ncols)
                 )
-            # Back substitution in reverse pivot order.
-            values: list[Expression] = [ZERO] * ncols
-            for (ri, col) in reversed(where):
-                acc = rows[ri][b]
-                for c2 in range(col + 1, ncols):
-                    entry = rows[ri][c2]
-                    if not entry.is_zero_expr():
-                        acc = acc - entry * values[c2]
-                values[col] = acc / rows[ri][col]
-            out.append(LinearSolution(tuple(values), pivots, weakest(tests)))
+            values = _back_substitute(rows, where, b, ncols)
+            out.append(LinearSolution(values, pivots, weakest(tests)))
     return out
+
+
+def _back_substitute(rows, where, b, ncols) -> tuple[Expression, ...]:
+    """The unique solution for the eliminated column b, in reverse pivot order."""
+    values: list[Expression] = [ZERO] * ncols
+    for (ri, col) in reversed(where):
+        acc = rows[ri][b]
+        for c2 in range(col + 1, ncols):
+            entry = rows[ri][c2]
+            if not entry.is_zero_expr():
+                acc = acc - entry * values[c2]
+        values[col] = acc / rows[ri][col]
+    return tuple(values)
 
 
 def solve_linear(
@@ -165,6 +176,31 @@ def rank_evidence(
             is_zero(e, policy) for ri in remaining for e in rows[ri] if not e.is_zero_expr()
         )
     return len(pivots), pivots, product_test, leftover
+
+
+def cofactors(
+    matrix: Sequence[Sequence[Expression]],
+    rows: Sequence[int],
+    policy: ZeroTestPolicy = DEFAULT_POLICY,
+) -> Optional[list[tuple[Expression, ...]]]:
+    """Cofactor (p, j) = (-1)^(p+j) * minor(p, j) of the square matrix for
+    each p in rows and every column j; None when the matrix is singular.
+
+    One elimination of [matrix | e_p for each p]: det is the pivot product,
+    signed by the order the rows took their pivots in, e_p solves to column p
+    of the inverse, and cofactor (p, j) = det * inverse[j][p].
+    """
+    n = len(matrix)
+    aug = [list(r) + [ONE if i == p else ZERO for p in rows] for i, r in enumerate(matrix)]
+    where, _remaining = _eliminate(aug, n, policy)
+    if len(where) < n:
+        return None
+    order = [ri for ri, _col in where]
+    swaps = sum(a > b for k, a in enumerate(order) for b in order[k + 1 :])
+    d = reduce(operator.mul, (aug[ri][col] for ri, col in where))
+    if swaps % 2:
+        d = -d
+    return [tuple(d * v for v in _back_substitute(aug, where, n + k, n)) for k in range(len(rows))]
 
 
 def det(matrix: Sequence[Sequence[Expression]]) -> Expression:

@@ -24,8 +24,8 @@ from .calculus import (
     d_of_function,
     interior_product,
     pullback_form,
-    pushforward_field,
     pushforward_fields,
+    pushforward_tangent,
     wedge,
 )
 from .certs import Certificate, CheckItem, bundle, form_vanishes
@@ -325,8 +325,8 @@ def descend(
     consumed = pullback_form(iota, stage.forms[-1])
     items.extend(form_vanishes("consumed form pulls back to zero", consumed, policy))
 
-    new_gens = tuple(pushforward_field(iota, Z, policy) for Z in stage.generators)
-    new_fields = tuple(pushforward_field(iota, X, policy) for X in stage.fields[:-1])
+    pushed = pushforward_tangent(iota, stage.generators + stage.fields[:-1], policy)
+    new_gens, new_fields = pushed[: len(stage.generators)], pushed[len(stage.generators) :]
     new_forms = tuple(pullback_form(iota, w) for w in stage.forms[:-1])
 
     for i, W in enumerate(new_fields):

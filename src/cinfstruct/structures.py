@@ -6,8 +6,8 @@ the span of {X_k} and the previous members, i.e. [X_k, V] = lambda_V X_k +
 (span part) for every earlier member V; all of a level's brackets decompose
 over that one basis in a single elimination.  The dual coframe is produced by
 contracting the volume form with all but one of the fields, normalized by the
-full contraction Delta, and is cross-checked against the cofactor expansion
-of the coefficient matrix.
+full contraction Delta, and is cross-checked against the cofactors of the
+coefficient matrix, all taken from one elimination.
 """
 
 from __future__ import annotations
@@ -387,8 +387,9 @@ def dual_one_forms(
 
     omega_i omits X_i from the contraction sequence (generators first, then
     the structure fields in order); Delta is the full contraction.  Each
-    omega_i is cross-checked against the cofactor expansion of the field
-    matrix, and the annihilation and pairing identities are certified.
+    omega_i is cross-checked against the cofactors of the field matrix,
+    cofactors from one elimination (linalg.cofactors), and the annihilation
+    and pairing identities are certified.
     """
     chart = structure.chart
     vol = volume_form(chart)
@@ -415,14 +416,15 @@ def dual_one_forms(
     items.append(CheckItem("Delta is nonzero", is_zero(delta, policy), expect_zero=False))
 
     # Cofactor cross-check: omega_i^j equals the determinant of the field
-    # matrix with row X_i replaced at the end by the j-th coordinate row.
-    all_fields = zs + xs
-    for i in range(m):
-        others = [list(f.components) for k, f in enumerate(all_fields) if k != r + i]
-        for j in range(n):
-            unit_row = [kernel.ONE if c == j else kernel.ZERO for c in range(n)]
-            cof = linalg.det(others + [unit_row])
-            diff = omegas[i].coeff((j,)) - cof
+    # matrix with row X_i replaced at the end by the j-th coordinate row,
+    # that is (-1)^(n-1-p) times the cofactor (p, j) of the field matrix,
+    # p = r + i.  A singular matrix has no inverse to take them from; its
+    # Delta item fails.
+    cofs = linalg.cofactors([list(f.components) for f in zs + xs], range(r, n), policy)
+    for i, row in enumerate(cofs or ()):
+        flip = (n - 1 - r - i) % 2
+        for j, cof in enumerate(row):
+            diff = omegas[i].coeff((j,)) - (-cof if flip else cof)
             items.append(
                 CheckItem(
                     "omega_%d d%s matches cofactor" % (i + 1, chart.coords[j]),

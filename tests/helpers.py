@@ -8,8 +8,11 @@ and small inputs keep the exact arithmetic fast.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 
@@ -143,6 +146,59 @@ def airy_reduced():
     state = rd.init_reduction(st.Distribution(ch, (A,)), [X1, X2, X3])
     rd.run_reduction(state, airy_steps())
     return state
+
+
+# ---------------------------------------------------------------------------
+# The jet family: u^(n) = 0 on the chart (x, u0, ..., u_(n-1)), sheared.
+
+BENCH_GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+
+
+def jet_scenario(dim, degree=1, seed=0):
+    """The scenario document of u^(n) = 0 on a chart of dimension dim = n + 1.
+
+    The generator is A = d/dx + sum u_(j+1) d/du_j, the structure is
+    X_k = d/du_(k-1) for k = 1..n, and the script runs from level n down to 1
+    with the closed-form integrals u_(k-1) - sum C_(i+1) x^(i-k+1)/(i-k+1)!.
+    Then, for j = 1..n-1 in order, bench/gen.py's push_scenario shears
+    u_j += a*u_(j-1)^degree + b*x^degree, with a and b drawn from +-1, +-2 by
+    random.Random(seed).
+    """
+    spec = importlib.util.spec_from_file_location("gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    n = dim - 1
+    us = ["u%d" % i for i in range(n)]
+    coords = ["x"] + us
+    fields = {"A": ["1"] + us[1:] + ["0"]}
+    for k in range(1, n + 1):
+        fields["X%d" % k] = ["1" if c == us[k - 1] else "0" for c in coords]
+    steps, live = [], list(coords)
+    for k in range(n, 0, -1):
+        tail = " + ".join(
+            "C%d*x^%d/%d" % (i + 1, i - k + 1, math.factorial(i - k + 1)) for i in range(k, n)
+        )
+        solution = "C%d + %s" % (k, tail) if tail else "C%d" % k
+        integral = "%s - (%s)" % (us[k - 1], tail) if tail else us[k - 1]
+        steps.append({
+            "level": k,
+            "integral": integral,
+            "constant": "C%d" % k,
+            "parametrization": [solution if c == us[k - 1] else c for c in live],
+        })
+        live.remove(us[k - 1])
+    doc = {
+        "chart": {"name": "J", "coords": coords},
+        "fields": fields,
+        "structure": {"generators": ["A"], "fields": ["X%d" % k for k in range(1, n + 1)]},
+        "reduction": steps,
+    }
+    rng = random.Random(seed)
+    for j in range(1, n):
+        a, b = (Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(2))
+        poly = [(a, {us[j - 1]: degree}), (b, {"x": degree})]
+        doc = gen.push_scenario(doc, {"base": "jet", "coord": us[j], "poly": poly})
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from cinfstruct.calculus import (
     lie_derivative_form,
     pullback_form,
     pushforward_field,
+    pushforward_tangent,
     volume_form,
     wedge,
 )
@@ -185,6 +186,30 @@ def test_pushforward_refuses_non_tangent_fields_with_witness():
     with pytest.raises(NotTangentError) as exc:
         pushforward_field(graph, off)
     assert exc.value.witness is not None
+
+
+def test_a_tangent_family_pushes_forward_in_one_solve_as_each_field_alone():
+    src = Chart("A", ("x", "y"))
+    graph = SmoothMap(src, CH3, (src.parse("x"), src.parse("y"), src.parse("x*y")), name="g")
+    family = [
+        VectorField(CH3, (kernel.ONE, kernel.ZERO, CH3.parse("y")), name="T1"),
+        VectorField(CH3, (CH3.parse("z"), CH3.parse("x"), CH3.parse("y*z + x^2")), name="T2"),
+    ]
+    off = [
+        VectorField(CH3, (kernel.ZERO, kernel.ZERO, kernel.ONE), name="N1"),
+        VectorField(CH3, (kernel.ONE, kernel.ZERO, kernel.ZERO), name="N2"),
+    ]
+    assert pushforward_tangent(graph, family) == tuple(pushforward_field(graph, V) for V in family)
+    # The first field off the image, in the family's order, is the one named.
+    for first, second in (off, off[::-1]):
+        with pytest.raises(NotTangentError) as alone:
+            pushforward_field(graph, first)
+        with pytest.raises(NotTangentError) as together:
+            pushforward_tangent(graph, family[:1] + [first, family[1], second])
+        assert str(together.value) == str(alone.value)
+        assert "field %s is not tangent to the image of g" % first.name == str(alone.value)
+        assert alone.value.witness is not None
+        assert together.value.witness == alone.value.witness
 
 
 def test_pushforward_needs_an_immersion():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cinfstruct import linalg
 from cinfstruct.cli import main
 
 import helpers
@@ -17,6 +18,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 EX31 = str(SCENARIOS / "example31.json")
 AIRY = str(SCENARIOS / "airy.json")
 DEPENDENT = str(Path(__file__).resolve().parent / "data" / "dependent_frame.json")
+# The same frame with a one-step reduction script.
+DEPENDENT_SCRIPT = str(Path(__file__).resolve().parent / "data" / "dependent_frame_script.json")
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -59,6 +62,29 @@ def test_a_dependent_frame_is_refuted_by_a_named_item(what, capsys):
     assert "linear system" not in captured.out + captured.err
 
 
+def test_a_dependent_frame_does_not_reduce(capsys):
+    assert main(["reduce", DEPENDENT_SCRIPT]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "step failed: the ordered family is not a certified structure\n"
+        "FAILED\n"
+        "  failing: rows left without a pivot are nonzero (rank 2 of 3)\n"
+    )
+    assert captured.err == ""
+
+
+def test_a_dependent_frame_refutes_a_symmetrizing_verify(capsys):
+    argv = ["verify", "factor", DEPENDENT_SCRIPT, "--level", "1", "--kind", "symmetrizing", "--expr", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refuted: the scenario's ordered fields are not a certified structure\n"
+        "FAILED\n"
+        "  failing: rows left without a pivot are nonzero (rank 2 of 3)\n"
+    )
+
+
 def test_check_involutive_refuted(tmp_path, capsys):
     doc = {
         "chart": {"name": "N", "coords": ["x", "y", "z"]},
@@ -86,6 +112,20 @@ def test_reduce_airy_end_to_end(capsys):
     out = capsys.readouterr().out
     assert "integral manifolds (parameters: x):" in out
     assert "u = " in out
+
+
+def test_reduce_jet_dimension_9_end_to_end(tmp_path, capsys, monkeypatch):
+    # u^(8) = 0, sheared: 8 levels, each with its cofactors from one
+    # elimination and no Laplace determinant.
+    path = write_scenario(tmp_path, helpers.jet_scenario(9))
+    dets = []
+    monkeypatch.setattr(linalg, "det", lambda *args: dets.append(args))
+    assert main(["reduce", path]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.endswith("->  ok") for line in out.splitlines()) == 8
+    assert "integral manifolds (parameters: x):" in out
+    assert out.endswith("certified (9 checks)\n")
+    assert dets == []
 
 
 def test_reduce_truncated_script_fails(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The package imports only what it declares and uses, and the CLI loads no
-heavy numeric stack it does not use."""
+heavy numeric stack it does not use and builds its parser at the first
+command, not at import."""
 
 import ast
 import os
@@ -16,20 +17,39 @@ PACKAGE = Path(cinfstruct.__file__).resolve().parent
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 
-def test_cli_import_loads_neither_scipy_nor_numpy():
+def _fresh_python(probe: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
-    )
-    probe = (
-        "import sys, cinfstruct.cli; "
-        "print(' '.join(m for m in ('scipy', 'numpy') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy():
+    probe = (
+        "import sys, cinfstruct.cli; "
+        "print(' '.join(m for m in ('scipy', 'numpy') if m in sys.modules))"
+    )
+    assert _fresh_python(probe) == ""
+
+
+def test_the_cli_builds_its_parser_at_the_first_command_and_reuses_it():
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "example31.json"
+    probe = "\n".join([
+        "import contextlib, io",
+        "import cinfstruct.cli as c",
+        "at_import = c._build_parser.cache_info().currsize",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for _ in range(3):",
+        "        c.main(['check', %r, 'independence'])" % str(scenario),
+        "info = c._build_parser.cache_info()",
+        "print(at_import, info.misses, info.hits)",
+    ])
+    assert _fresh_python(probe) == "0 1 2"
 
 
 def _third_party_imports() -> set:

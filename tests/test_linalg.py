@@ -1,5 +1,6 @@
-"""Linear systems: former gcd hangs under a time budget, and several
-right-hand sides solved by one elimination.
+"""Linear systems: former gcd hangs under a time budget, several
+right-hand sides solved by one elimination, and cofactors from one
+elimination checked against the Laplace determinant.
 
 A 3x3 system with single-monomial entries took tens of seconds and a 4x4
 system with entries c*x_i + c0 did not finish in a minute while the gcd was
@@ -9,17 +10,21 @@ match sympy's.  A seeded 6x6 system from the benchmark's generator solves
 the same way.
 """
 
+import contextlib
 import importlib.util
+import io
 import random
 import time
 from pathlib import Path
 
 import pytest
 
-from cinfstruct import kernel, syntax
+import helpers
+from cinfstruct import cli, kernel, linalg, syntax
+from cinfstruct import structures as st
 from cinfstruct.charts import Chart
 from cinfstruct.errors import RankDeficientError
-from cinfstruct.linalg import det, rank_certified, solve_columns, solve_linear
+from cinfstruct.linalg import cofactors, det, rank_certified, solve_columns, solve_linear
 from cinfstruct.zerotest import PROVED, Certainty, evaluate
 
 CH = Chart("L", ("x1", "x2", "x3", "x4"))
@@ -130,3 +135,151 @@ def test_rank_deficiency_raises_at_the_first_column_with_a_solution():
     sols = solve_columns(matrix, [inconsistent, _column("0", "0", "x3")])
     assert [s.values for s in sols] == [None, None]
     assert all(s.residual.certainty is Certainty.NONZERO for s in sols)
+
+
+# ---------------------------------------------------------------------------
+# Cofactors from one elimination.
+
+
+def _key(e):
+    return e.num.struct_key(), e.den.struct_key()
+
+
+def _unit(n, j):
+    return [kernel.ONE if c == j else kernel.ZERO for c in range(n)]
+
+
+def _assert_cofactors_are_laplace(matrix):
+    """Cofactor (p, j) is det of the matrix with row p replaced by e_j, and
+    (-1)^(n-1-p) times det of the matrix with row p dropped and e_j bordered
+    below, as dual_one_forms compares them."""
+    n = len(matrix)
+    cofs = cofactors(matrix, range(n))
+    assert len(cofs) == n
+    for p, row in enumerate(cofs):
+        assert len(row) == n
+        for j, cof in enumerate(row):
+            replaced = [_unit(n, j) if k == p else r for k, r in enumerate(matrix)]
+            assert _key(cof) == _key(det(replaced))
+            bordered = [r for k, r in enumerate(matrix) if k != p] + [_unit(n, j)]
+            moved = -cof if (n - 1 - p) % 2 else cof
+            assert _key(moved) == _key(det(bordered))
+
+
+HAND_BUILT = {
+    "3x3": SYSTEM_3[0],
+    "4x4": SYSTEM_4[0],
+    "3x3 with exp": [["x1", "exp(x2)", "1"], ["0", "x3", "exp(x2)*x1"], ["2", "x4", "x2 - 1"]],
+    "4x4 permuted": [
+        ["0", "0", "x1", "1"],
+        ["x2", "0", "0", "0"],
+        ["0", "1", "x3", "0"],
+        ["1", "x4", "0", "x1*x2"],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_cofactors_of_hand_built_matrices_are_laplace(name):
+    _assert_cofactors_are_laplace([[CH.parse(t) for t in row] for row in HAND_BUILT[name]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cofactors_of_random_matrices_are_laplace(seed):
+    rng = random.Random(100 + seed)
+    n = 3 + seed % 2
+    _assert_cofactors_are_laplace([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
+
+
+def test_cofactors_come_in_the_order_of_the_rows_asked_for():
+    matrix = [[CH.parse(t) for t in row] for row in SYSTEM_3[0]]
+    every = cofactors(matrix, range(3))
+    assert cofactors(matrix, [2, 0]) == [every[2], every[0]]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[["x1", "x2"], ["2*x1", "2*x2"]], [["1", "x1", "x2"], ["x3", "0", "1"], ["1 + x3", "x1", "x2 + 1"]]],
+    ids=["2x2", "3x3"],
+)
+def test_a_singular_matrix_has_no_cofactors(rows):
+    matrix = [[CH.parse(t) for t in row] for row in rows]
+    assert cofactors(matrix, range(len(rows))) is None
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("example", ["dim4", "airy"])
+def test_the_dual_coframe_takes_one_elimination_and_no_determinant(example, monkeypatch):
+    if example == "dim4":
+        ch = helpers.dim4_chart()
+        Z1, Z2, X1, X2 = helpers.dim4_fields(ch)
+        gens, fields = (Z1, Z2), (X1, X2)
+    else:
+        ch = helpers.airy_chart()
+        A, X1, X2, X3 = helpers.airy_fields(ch)
+        gens, fields = (A,), (X1, X2, X3)
+    structure = st.check_cinf_structure(st.Distribution(ch, gens), fields)
+    dets = _counting(monkeypatch, linalg, "det")
+    eliminations = _counting(monkeypatch, linalg, "_eliminate")
+    dual = st.dual_one_forms(structure)
+    assert dual.certificate.ok
+    assert (len(dets), len(eliminations)) == (0, 1)
+    cofactor_items = [it for it in dual.certificate.items if "matches cofactor" in it.label]
+    assert len(cofactor_items) == len(fields) * ch.dim
+
+
+def test_a_dependent_frame_gets_a_failing_coframe_without_cofactor_items():
+    ch = Chart("D", ("x", "y", "z"))
+    Z1 = helpers.field(ch, "Z1", 1, 0, 0)
+    X1 = helpers.field(ch, "X1", 0, 1, 0)
+    X2 = helpers.field(ch, "X2", 0, "x", 0)
+    structure = st.check_cinf_structure(st.Distribution(ch, (Z1,)), (X1, X2))
+    assert not structure.ok
+    dual = st.dual_one_forms(structure)
+    assert dual.delta.is_zero_expr()
+    assert [it.label for it in dual.certificate.failing()] == ["Delta is nonzero"]
+    assert not any("matches cofactor" in it.label for it in dual.certificate.items)
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "scenario, level, expr",
+    [
+        ("example31.json", 2, helpers.DIM4_F2),
+        ("example31.json", 1, helpers.DIM4_F1 + "*x2"),
+        ("airy.json", 3, helpers.AIRY_F3),
+        ("airy.json", 2, "u1"),
+    ],
+)
+def test_a_symmetrizing_verify_builds_no_dual_coframe(scenario, level, expr, monkeypatch, tmp_path):
+    path = str(BENCH.parent / "scenarios" / scenario)
+    runs = []
+    for patched in (False, True):
+        if patched:
+            def refuse(*_args, **_kwargs):
+                raise AssertionError("dual_one_forms called")
+
+            monkeypatch.setattr(cli, "dual_one_forms", refuse)
+            monkeypatch.setattr(st, "dual_one_forms", refuse)
+        report = tmp_path / ("report_%d.json" % patched)
+        argv = ["verify", "factor", path, "--level", str(level), "--kind", "symmetrizing",
+                "--expr", expr, "--report", str(report)]
+        runs.append(_run_cli(argv) + (report.read_text(),))
+    assert runs[0] == runs[1]

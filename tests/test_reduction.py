@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cinfstruct import kernel
+from cinfstruct import calculus, kernel
 from cinfstruct import reduction as rd
 from cinfstruct.calculus import SmoothMap
 from cinfstruct.charts import Chart
@@ -308,3 +308,18 @@ def test_a_refuted_structure_builds_no_dual_forms(monkeypatch, tmp_path):
         blob = json.dumps([code, out.getvalue(), err.getvalue(), report.read_text()])
         assert code == 1
         assert hashlib.sha256(blob.encode()).hexdigest() == want
+
+
+def test_each_descent_pushes_its_generators_and_fields_in_one_solve(monkeypatch):
+    calls = []
+    real = calculus.pushforward_fields
+
+    def counted(m, fields, policy):
+        calls.append(tuple(F.name for F in fields))
+        return real(m, fields, policy)
+
+    monkeypatch.setattr(calculus, "pushforward_fields", counted)
+    _ch, state = fresh_dim4()
+    rd.run_reduction(state, helpers.dim4_steps())
+    assert state.complete
+    assert calls == [("Z1", "Z2", "X1"), ("Z1", "Z2")]
