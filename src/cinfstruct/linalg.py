@@ -8,7 +8,8 @@ nonzero entry (node count, ties by position); the chosen pivots are the
 singular loci of the computation and are reported with every result.  They
 depend only on the matrix, so one elimination of [matrix | columns] solves a
 whole family of right-hand sides, and a column outside the span is a value,
-not an error; with unit columns it gives the cofactors of chosen rows.
+not an error; with unit columns it gives the determinant and the cofactors
+of chosen rows, which is how the dual coframe is built.
 
 ``det`` stays a Laplace expansion: the benchmark times it on 2x2 systems,
 where it beats an elimination, and tests use it as a reference for cofactors.
@@ -182,9 +183,10 @@ def cofactors(
     matrix: Sequence[Sequence[Expression]],
     rows: Sequence[int],
     policy: ZeroTestPolicy = DEFAULT_POLICY,
-) -> Optional[list[tuple[Expression, ...]]]:
-    """Cofactor (p, j) = (-1)^(p+j) * minor(p, j) of the square matrix for
-    each p in rows and every column j; None when the matrix is singular.
+) -> Optional[tuple[Expression, list[tuple[Expression, ...]]]]:
+    """The determinant of the square matrix and, for each p in rows, the
+    cofactors (-1)^(p+j) * minor(p, j) over every column j; None when the
+    matrix is singular.
 
     One elimination of [matrix | e_p for each p]: det is the pivot product,
     signed by the order the rows took their pivots in, e_p solves to column p
@@ -200,7 +202,9 @@ def cofactors(
     d = reduce(operator.mul, (aug[ri][col] for ri, col in where))
     if swaps % 2:
         d = -d
-    return [tuple(d * v for v in _back_substitute(aug, where, n + k, n)) for k in range(len(rows))]
+    return d, [
+        tuple(d * v for v in _back_substitute(aug, where, n + k, n)) for k in range(len(rows))
+    ]
 
 
 def det(matrix: Sequence[Sequence[Expression]]) -> Expression:

@@ -4,10 +4,10 @@ A distribution is spanned by independent generators Z_1..Z_r; an ordered
 family X_1..X_{n-r} is certified level by level: X_k must bracket back into
 the span of {X_k} and the previous members, i.e. [X_k, V] = lambda_V X_k +
 (span part) for every earlier member V; all of a level's brackets decompose
-over that one basis in a single elimination.  The dual coframe is produced by
-contracting the volume form with all but one of the fields, normalized by the
-full contraction Delta, and is cross-checked against the cofactors of the
-coefficient matrix, all taken from one elimination.
+over that one basis in a single elimination.  The dual coframe is read off one
+elimination of the field matrix: Delta is its determinant and each omega_i
+is a row of cofactors, which is the contraction of the volume form with all
+fields but X_i; the annihilation and pairing identities certify it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .calculus import (
     apply_field,
     interior_product,
     lie_bracket,
-    volume_form,
 )
 from .certs import Certificate, CheckItem, bundle
 from .charts import Chart
@@ -383,67 +382,47 @@ class DualForms:
 def dual_one_forms(
     structure: CinfStructure, policy: ZeroTestPolicy = DEFAULT_POLICY
 ) -> DualForms:
-    """Contract the volume form against all fields but one, per level.
+    """The dual coframe, read off the cofactors of the field matrix.
 
-    omega_i omits X_i from the contraction sequence (generators first, then
-    the structure fields in order); Delta is the full contraction.  Each
-    omega_i is cross-checked against the cofactors of the field matrix,
-    cofactors from one elimination (linalg.cofactors), and the annihilation
-    and pairing identities are certified.
+    M has the generators, then the structure fields in order, as rows, and
+    Delta = det(M).  omega_i is the contraction of the volume form with every
+    row but X_i: its d(x_j) coefficient is (-1)^(n-1-p) times cofactor (p, j)
+    of M, p = r + i.  Delta and every cofactor come from one elimination
+    (linalg.cofactors).  While Delta is nonzero, the annihilation and pairing
+    items are n independent linear conditions on each omega_i, so they
+    certify it; a singular M gets Delta = 0, no forms, and a failing Delta
+    item.
     """
     chart = structure.chart
-    vol = volume_form(chart)
     zs = list(structure.distribution.generators)
     xs = list(structure.fields)
     n = chart.dim
     r = len(zs)
     m = len(xs)
 
-    delta_form = vol
-    for F in zs + xs:
-        delta_form = interior_product(F, delta_form)
-    delta = delta_form.coeff(())
-
-    omegas = []
-    for i in range(m):
-        w = vol
-        for F in zs + xs[:i] + xs[i + 1 :]:
-            w = interior_product(F, w)
-        omegas.append(w)
+    got = linalg.cofactors([list(f.components) for f in zs + xs], range(r, n), policy)
+    delta, cofs = got if got is not None else (kernel.ZERO, [])
+    omegas = tuple(
+        KForm.make(chart, 1, {(j,): -c if (n - 1 - r - i) % 2 else c for j, c in enumerate(row)})
+        for i, row in enumerate(cofs)
+    )
 
     items = []
     loci: list[Expression] = [delta]
     items.append(CheckItem("Delta is nonzero", is_zero(delta, policy), expect_zero=False))
 
-    # Cofactor cross-check: omega_i^j equals the determinant of the field
-    # matrix with row X_i replaced at the end by the j-th coordinate row,
-    # that is (-1)^(n-1-p) times the cofactor (p, j) of the field matrix,
-    # p = r + i.  A singular matrix has no inverse to take them from; its
-    # Delta item fails.
-    cofs = linalg.cofactors([list(f.components) for f in zs + xs], range(r, n), policy)
-    for i, row in enumerate(cofs or ()):
-        flip = (n - 1 - r - i) % 2
-        for j, cof in enumerate(row):
-            diff = omegas[i].coeff((j,)) - (-cof if flip else cof)
-            items.append(
-                CheckItem(
-                    "omega_%d d%s matches cofactor" % (i + 1, chart.coords[j]),
-                    is_zero(diff, policy),
-                )
-            )
-
     # Annihilation and pairing.
     for zi, Z in enumerate(zs):
         zname = _label(Z, "Z%d" % (zi + 1))
-        for i in range(m):
-            val = interior_product(Z, omegas[i]).coeff(())
+        for i, w in enumerate(omegas):
+            val = interior_product(Z, w).coeff(())
             items.append(
                 CheckItem("%s . omega_%d = 0" % (zname, i + 1), is_zero(val, policy))
             )
     for xi, X in enumerate(xs):
         xname = _label(X, "X%d" % (xi + 1))
-        for i in range(m):
-            val = interior_product(X, omegas[i]).coeff(())
+        for i, w in enumerate(omegas):
+            val = interior_product(X, w).coeff(())
             if xi == i:
                 sign = -1 if (m - 1 - i) % 2 else 1
                 expected = delta if sign > 0 else -delta
@@ -459,7 +438,7 @@ def dual_one_forms(
                 )
 
     cert = bundle("dual-forms", items, loci=loci, delta=_fmt(delta))
-    return DualForms(structure, delta, tuple(omegas), cert)
+    return DualForms(structure, delta, omegas, cert)
 
 
 def _fmt(e: Expression) -> str:

@@ -19,7 +19,7 @@ import mpmath
 from cinfstruct import kernel, syntax
 from cinfstruct import reduction as rd
 from cinfstruct import structures as st
-from cinfstruct.calculus import KForm, VectorField
+from cinfstruct.calculus import KForm, VectorField, interior_product, volume_form
 from cinfstruct.charts import Chart, parse_rule
 from cinfstruct.errors import (
     EvaluationError,
@@ -199,6 +199,25 @@ def jet_scenario(dim, degree=1, seed=0):
         poly = [(a, {us[j - 1]: degree}), (b, {"x": degree})]
         doc = gen.push_scenario(doc, {"base": "jet", "coord": us[j], "poly": poly})
     return doc
+
+
+def coframe_by_contraction(structure):
+    """(Delta, omegas) of structures.dual_one_forms as it was built before it
+    read them off the cofactors: Delta is the volume form contracted with the
+    generators, then the structure fields; omega_i skips X_i in that chain."""
+    vol = volume_form(structure.chart)
+    frame = list(structure.distribution.generators) + list(structure.fields)
+    r = structure.distribution.rank
+
+    def contract(fields):
+        w = vol
+        for F in fields:
+            w = interior_product(F, w)
+        return w
+
+    delta = contract(frame).coeff(())
+    omegas = tuple(contract(frame[: r + i] + frame[r + i + 1 :]) for i in range(structure.corank))
+    return delta, omegas
 
 
 # ---------------------------------------------------------------------------

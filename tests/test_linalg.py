@@ -1,6 +1,7 @@
 """Linear systems: former gcd hangs under a time budget, several
-right-hand sides solved by one elimination, and cofactors from one
-elimination checked against the Laplace determinant.
+right-hand sides solved by one elimination, the determinant and cofactors
+from one elimination checked against the Laplace determinant, and the dual
+coframe read off them checked against the contraction of the volume form.
 
 A 3x3 system with single-monomial entries took tens of seconds and a 4x4
 system with entries c*x_i + c0 did not finish in a minute while the gcd was
@@ -25,6 +26,7 @@ from cinfstruct import structures as st
 from cinfstruct.charts import Chart
 from cinfstruct.errors import RankDeficientError
 from cinfstruct.linalg import cofactors, det, rank_certified, solve_columns, solve_linear
+from cinfstruct.scenario import build_scenario
 from cinfstruct.zerotest import PROVED, Certainty, evaluate
 
 CH = Chart("L", ("x1", "x2", "x3", "x4"))
@@ -150,11 +152,13 @@ def _unit(n, j):
 
 
 def _assert_cofactors_are_laplace(matrix):
-    """Cofactor (p, j) is det of the matrix with row p replaced by e_j, and
-    (-1)^(n-1-p) times det of the matrix with row p dropped and e_j bordered
-    below, as dual_one_forms compares them."""
+    """The returned det is the Laplace det, and cofactor (p, j) is det of the
+    matrix with row p replaced by e_j, and (-1)^(n-1-p) times det of the
+    matrix with row p dropped and e_j bordered below, as dual_one_forms reads
+    its forms off them."""
     n = len(matrix)
-    cofs = cofactors(matrix, range(n))
+    d, cofs = cofactors(matrix, range(n))
+    assert _key(d) == _key(det(matrix))
     assert len(cofs) == n
     for p, row in enumerate(cofs):
         assert len(row) == n
@@ -193,8 +197,9 @@ def test_cofactors_of_random_matrices_are_laplace(seed):
 
 def test_cofactors_come_in_the_order_of_the_rows_asked_for():
     matrix = [[CH.parse(t) for t in row] for row in SYSTEM_3[0]]
-    every = cofactors(matrix, range(3))
-    assert cofactors(matrix, [2, 0]) == [every[2], every[0]]
+    d, every = cofactors(matrix, range(3))
+    assert cofactors(matrix, [2, 0]) == (d, [every[2], every[0]])
+    assert cofactors(matrix, []) == (d, [])
 
 
 @pytest.mark.parametrize(
@@ -219,24 +224,56 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("example", ["dim4", "airy"])
-def test_the_dual_coframe_takes_one_elimination_and_no_determinant(example, monkeypatch):
+def _structure(example):
     if example == "dim4":
         ch = helpers.dim4_chart()
         Z1, Z2, X1, X2 = helpers.dim4_fields(ch)
-        gens, fields = (Z1, Z2), (X1, X2)
-    else:
+        return st.check_cinf_structure(st.Distribution(ch, (Z1, Z2)), (X1, X2))
+    if example == "airy":
         ch = helpers.airy_chart()
         A, X1, X2, X3 = helpers.airy_fields(ch)
-        gens, fields = (A,), (X1, X2, X3)
-    structure = st.check_cinf_structure(st.Distribution(ch, gens), fields)
+        return st.check_cinf_structure(st.Distribution(ch, (A,)), (X1, X2, X3))
+    sc = build_scenario(helpers.jet_scenario(7))
+    return st.check_cinf_structure(sc.distribution, sc.structure_fields, sc.policy)
+
+
+@pytest.mark.parametrize("example", ["dim4", "airy"])
+def test_the_dual_coframe_takes_one_elimination_and_no_determinant(example, monkeypatch):
+    # The cost model: one elimination gives Delta and every form, and the
+    # certificate is the Delta item plus one annihilation or pairing item,
+    # each one interior product, per (generator or field, form).
+    structure = _structure(example)
     dets = _counting(monkeypatch, linalg, "det")
     eliminations = _counting(monkeypatch, linalg, "_eliminate")
+    contractions = _counting(monkeypatch, st, "interior_product")
     dual = st.dual_one_forms(structure)
     assert dual.certificate.ok
     assert (len(dets), len(eliminations)) == (0, 1)
-    cofactor_items = [it for it in dual.certificate.items if "matches cofactor" in it.label]
-    assert len(cofactor_items) == len(fields) * ch.dim
+    n, m = structure.chart.dim, structure.corank
+    assert len(contractions) == n * m
+    assert len(dual.certificate.items) == 1 + n * m
+
+
+@pytest.mark.parametrize("example", ["dim4", "airy", "jet7"])
+def test_the_dual_coframe_is_the_contraction_of_the_volume_form(example):
+    structure = _structure(example)
+    dual = st.dual_one_forms(structure)
+    delta, omegas = helpers.coframe_by_contraction(structure)
+    assert _key(dual.delta) == _key(delta)
+    assert len(dual.omegas) == len(omegas) == structure.corank
+    for got, want in zip(dual.omegas, omegas):
+        for j in range(structure.chart.dim):
+            assert _key(got.coeff((j,))) == _key(want.coeff((j,)))
+
+
+def test_a_structure_without_fields_gets_delta_and_no_forms():
+    gens = [helpers.field(CH, "Z%d" % (k + 1), *row) for k, row in enumerate(HAND_BUILT["4x4"])]
+    structure = st.check_cinf_structure(st.Distribution(CH, gens), ())
+    dual = st.dual_one_forms(structure)
+    assert _key(dual.delta) == _key(det([list(g.components) for g in gens]))
+    assert dual.omegas == ()
+    assert [it.label for it in dual.certificate.items] == ["Delta is nonzero"]
+    assert dual.certificate.ok
 
 
 def test_a_dependent_frame_gets_a_failing_coframe_without_cofactor_items():
@@ -248,8 +285,9 @@ def test_a_dependent_frame_gets_a_failing_coframe_without_cofactor_items():
     assert not structure.ok
     dual = st.dual_one_forms(structure)
     assert dual.delta.is_zero_expr()
+    assert dual.omegas == ()
+    assert [it.label for it in dual.certificate.items] == ["Delta is nonzero"]
     assert [it.label for it in dual.certificate.failing()] == ["Delta is nonzero"]
-    assert not any("matches cofactor" in it.label for it in dual.certificate.items)
 
 
 def _run_cli(argv):
