@@ -141,7 +141,7 @@ def _cmd_check(scn: Scenario, what: str, policy) -> tuple[int, list[str], dict]:
             )
     elif what == "independence":
         frame = list(scn.generators) + list(scn.structure_fields)
-        cert = check_independent(scn.chart, frame, policy)
+        cert = check_independent(frame, policy)
         lines.append(
             "frame of %d fields on a %d-dimensional chart" % (len(frame), scn.chart.dim)
         )

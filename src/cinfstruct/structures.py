@@ -75,7 +75,6 @@ class Distribution:
 
 
 def check_independent(
-    chart: Chart,
     fields: Sequence[VectorField],
     policy: ZeroTestPolicy = DEFAULT_POLICY,
 ) -> Certificate:
@@ -220,7 +219,7 @@ def check_cinf_symmetry(
     members = tuple(members)
     basis = list(members) + [field]
     fname = _label(field, "X")
-    indep = check_independent(field.chart, basis, policy)
+    indep = check_independent(basis, policy)
     # Independence enters through the certificate payload; items hold the
     # bracket checks.  Over a dependent basis the brackets have no unique
     # decomposition, so the level is refuted by the failing independence
@@ -350,7 +349,7 @@ def check_cinf_structure(
     if levels:
         indep = levels[-1].independence
     else:
-        indep = check_independent(chart, dist.generators, policy)
+        indep = check_independent(dist.generators, policy)
     return CinfStructure(dist, fields, tuple(levels), indep, invol)
 
 

@@ -8,12 +8,13 @@ high-precision floating evaluation, yielding ``ProbablyZero`` with a
 Schwartz-Zippel style confidence or a concrete ``Nonzero`` witness.  All
 draws come from a policy-seeded generator, so results are reproducible.
 
-Every numeric evaluation in the package goes through one compiler,
-``compile_evaluator``: an expression becomes straight-line Python once, with
-one of three number backends -- ``math`` floats (the quadrature in
-``factors``), exact integers over a common denominator, giving ``Fraction``
-values (the rational zero test), and ``mpmath`` (the elementary zero test,
-with its singularity guard and term scale).
+An expression with no elementary generator is evaluated directly in
+integers over a common denominator, giving an exact ``Fraction``.  Floating
+evaluation goes through one compiler, ``compile_evaluator``: an expression
+becomes straight-line Python once, with one of two number backends --
+``math`` floats (the quadrature in ``factors``, which reuses one evaluator
+thousands of times) and ``mpmath`` (the elementary zero test, with its
+singularity guard and term scale).
 """
 
 from __future__ import annotations
@@ -166,13 +167,13 @@ def weakest(results) -> ZeroTestResult:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one compiler, three number backends.
+# Evaluation: exact values directly, floats through one compiler.
 #
 # An expression is compiled once into straight-line Python in the order of
 # operations of a term-by-term walk: each term is coeff * g1**e1 * g2**e2 ...
 # in ``Poly.rational_terms()`` order, a polynomial is the sum of its terms
 # from zero, and each generator is computed once into a temporary.  Slot
-# values arrive as positional arguments, and coefficients as float or int
+# values arrive as positional arguments, and coefficients as float
 # literals or, for mpmath, through the function's namespace, so the source
 # holds only temporaries, literals and the backend's function names; no
 # symbol or jet-slot name ever enters it.
@@ -227,15 +228,41 @@ def _scaled(bound, zero, terms, den):
     return total / den, max(biggest / abs(den), 1)
 
 
-def _exact(bound, num_terms, num_scale, den_terms, den_scale):
-    """_scaled in integers: the numerator is sum(num_terms) / num_scale and
-    the denominator sum(den_terms) / den_scale."""
-    biggest = max(map(abs, num_terms), default=0)
-    den = sum(den_terms)
-    if den == 0 or abs(den) * bound.denominator < bound.numerator * den_scale:
+def _exact_value(e: Expression, at: Mapping[str, int], q: int, eps_sing) -> Fraction:
+    """e where each slot s has the value at[s] / q: each polynomial is summed
+    in integers over q**degree, with one Fraction at the end.  A denominator
+    that is 0 or below eps_sing (None for 0) in absolute value is singular."""
+    vals = {}
+
+    def total(p):
+        top, acc = p.total_degree(), 0
+        for m, t in p.terms.items():
+            d = top
+            for g, k in m:
+                if g not in vals:
+                    vals[g] = _slot(g, at)
+                t *= vals[g] ** k
+                d -= k
+            acc += t * q**d
+        return acc * p.cn, p.cd * q**top
+
+    (num, s), (den, r) = total(e.num), total(e.den)
+    if den == 0 or eps_sing and abs(Fraction(den, r)) < eps_sing:
         raise SingularPointError("denominator vanished or within the singularity guard")
-    value = Fraction(sum(num_terms) * den_scale, num_scale * den)
-    return value, max(Fraction(biggest * den_scale, num_scale * abs(den)), 1)
+    return Fraction(num * r, s * den)
+
+
+def _slot(g: Gen, slots: Mapping):
+    """The entry of `slots` for the symbol or jet slot g, keyed by its printed
+    name; EvaluationError when there is none, or when g is elementary."""
+    if g.kind == kernel.ELEM_KIND:
+        raise EvaluationError("%s needs a numeric backend" % g.name)
+    key = g.name if g.kind == kernel.SYM_KIND else syntax.format_gen(g)
+    if key in slots:
+        return slots[key]
+    if g.kind == kernel.SYM_KIND:
+        raise EvaluationError("no value for symbol %r" % key)
+    raise EvaluationError("no value for jet slot %r: the function is abstract" % key)
 
 
 def _float_failed(exc):
@@ -244,11 +271,7 @@ def _float_failed(exc):
 
 _FLOAT_FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 _MP_FUNCS = {"exp": mpmath.exp, "ln": _mp_ln, "sin": mpmath.sin, "cos": mpmath.cos, "sqrt": _mp_sqrt}
-_FUNCS = {"float": _FLOAT_FUNCS, "exact": {}, "mpmath": _MP_FUNCS}
-
-
-class _Refused(Exception):
-    """The expression cannot be evaluated with these slots and backend."""
+_FUNCS = {"float": _FLOAT_FUNCS, "mpmath": _MP_FUNCS}
 
 
 _SUM_CHUNK = 64  # terms added per line, so no line nests too deep to compile
@@ -258,13 +281,11 @@ class _Emitter:
     """Writes one evaluator: a temporary per elementary generator, then one
     return expression."""
 
-    def __init__(self, slots, backend: str, denominator: int):
+    def __init__(self, slots, backend: str):
         self.backend = backend
-        self.q = denominator
-        self.funcs = _FUNCS[backend]
         self.args = {name: "a%d" % i for i, name in enumerate(slots)}
         self.consts: dict = {}  # Fraction -> global name (mpmath)
-        self.zero = "0" if backend == "exact" else self.coeff(Fraction(0))
+        self.zero = self.coeff(Fraction(0))
         self.temps: dict = {}  # Gen -> temporary or argument
         self.lines: list = []
 
@@ -278,9 +299,7 @@ class _Emitter:
             try:
                 return repr(float(c))
             except OverflowError:
-                raise _Refused("a coefficient overflows a float") from None
-        if self.backend == "exact":
-            return repr(c)  # an int: see int_terms
+                raise EvaluationError("a coefficient overflows a float") from None
         return self.consts.setdefault(c, "k%d" % len(self.consts))
 
     def gen(self, g: Gen) -> str:
@@ -288,16 +307,9 @@ class _Emitter:
         if name is not None:
             return name
         if g.kind == kernel.ELEM_KIND:
-            if g.name not in self.funcs:
-                raise _Refused("%s needs a numeric backend" % g.name)
             name = self.temp("%s(%s)" % (g.name, self.expr(g.args[0])))
         else:
-            key = g.name if g.kind == kernel.SYM_KIND else syntax.format_gen(g)
-            name = self.args.get(key)
-            if name is None:
-                if g.kind == kernel.SYM_KIND:
-                    raise _Refused("no value for symbol %r" % key)
-                raise _Refused("no value for jet slot %r: the function is abstract" % key)
+            name = _slot(g, self.args)
         self.temps[g] = name
         return name
 
@@ -312,23 +324,6 @@ class _Emitter:
                 factors.append(name if e == 1 else "%s ** %d" % (name, e))
             out.append(" * ".join(factors))
         return out
-
-    def int_terms(self, p):
-        """Terms over the integer arguments k = value * q, and the integer
-        s with p's value = sum(terms) / s: a term c*m of degree d gets the
-        integer coefficient c * s / q**d, for s = lcm(denominators) * q**D
-        with D the largest degree."""
-        if p.is_one():
-            return "(1, )", 1
-        terms = p.rational_terms()
-        degs = [sum([e for _, e in m]) for m, _ in terms]
-        top = max(degs, default=0)
-        lcm = math.lcm(*[c.denominator for _, c in terms])
-        items = [
-            (m, c.numerator * (lcm // c.denominator) * self.q ** (top - d))
-            for (m, c), d in zip(terms, degs)
-        ]
-        return "(%s)" % "".join(t + ", " for t in self.terms(items)), lcm * self.q**top
 
     def total(self, p) -> str:
         terms = self.terms(p.rational_terms())
@@ -351,8 +346,6 @@ class _Emitter:
         """The return expression; the temporaries it needs are in lines."""
         if self.backend == "float":
             return self.expr(e)
-        if self.backend == "exact":
-            return "exact(bound, %s, %d, %s, %d)" % (self.int_terms(e.num) + self.int_terms(e.den))
         terms = "".join(t + ", " for t in self.terms(e.num.rational_terms()))
         den = "None" if e.den.is_one() else self.total(e.den)
         return "scaled(bound, %s, (%s), %s)" % (self.zero, terms, den)
@@ -363,7 +356,6 @@ def compile_evaluator(
     slots,
     backend: str = "float",
     eps_sing: Optional[Fraction] = None,
-    denominator: int = 1,
 ) -> Callable:
     """Compile e into a function of its slot values, given positionally in
     the order of `slots` (symbol names and printed jet slots).
@@ -373,17 +365,18 @@ def compile_evaluator(
     value raises EvaluationError when the function is called.
 
     ``"mpmath"`` takes mpfs, converting the coefficients at the working
-    precision in force when this is called.  ``"exact"`` takes each value v
-    as the integer v * `denominator` and computes in integers.  These two
-    return (value, scale), the scale being the largest absolute numerator
-    term over |denominator|, at least 1 (exact Fractions from ``"exact"``).
-    They raise SingularPointError at a denominator within ``eps_sing`` of
-    zero, or equal to zero, and at ln or sqrt outside its domain.
+    precision in force when this is called, and returns (value, scale), the
+    scale being the largest absolute numerator term over |denominator|, at
+    least 1.  It raises SingularPointError at a denominator within
+    ``eps_sing`` of zero, or equal to zero, and at ln or sqrt outside its
+    domain.  An expression with no elementary generator has an exact value,
+    which ``evaluate`` and ``is_zero`` compute without compiling.
     """
-    em = _Emitter(slots, backend, denominator)
+    funcs = _FUNCS[backend]
+    em = _Emitter(slots, backend)
     try:
         ret = em.body(e)
-    except _Refused as exc:
+    except EvaluationError as exc:
         msg = str(exc)
 
         def refuse(*_values):
@@ -392,20 +385,12 @@ def compile_evaluator(
         return refuse
     bound = Fraction(0) if eps_sing is None else Fraction(eps_sing)
     names = list(em.args.values())
-    if backend == "exact":
-        # One expression with no temporaries (elementary generators are
-        # refused), usually run once: eval mode compiles in about two thirds
-        # of the time a function takes.
-        code = compile(ret, "<compiled exact evaluator>", "eval")
-        return lambda *values: eval(
-            code, dict(zip(names, values), exact=_exact, bound=bound, __builtins__={})
-        )
     body = em.lines + ["return " + ret]
     if backend == "float":
         body = ["try:"] + ["    " + line for line in body]
         body += ["except ARITH as exc:", "    failed(exc)"]
     src = "def evaluator(%s):\n%s" % (", ".join(names), "".join("    %s\n" % ln for ln in body))
-    ns = dict(em.funcs, scaled=_scaled, guard=_guard, failed=_float_failed,
+    ns = dict(funcs, scaled=_scaled, guard=_guard, failed=_float_failed,
               ARITH=(ArithmeticError, ValueError), __builtins__={})
     if backend == "mpmath":
         ns.update(((k, _to_mpf(c)) for c, k in em.consts.items()), bound=float(bound))
@@ -437,10 +422,9 @@ def evaluate(
     )
     slots = [s for s in sample_slots(e) if s in values]
     if exact:
-        args = [Fraction(values[s]) for s in slots]
-        q = math.lcm(*(a.denominator for a in args))
-        fn = compile_evaluator(e, slots, "exact", eps_sing, q)
-        return fn(*(int(a * q) for a in args))[0]
+        args = {s: Fraction(values[s]) for s in slots}
+        q = math.lcm(*(a.denominator for a in args.values()))
+        return _exact_value(e, {s: int(a * q) for s, a in args.items()}, q, eps_sing)
     with mpmath.workdps(_DIGITS):
         fn = compile_evaluator(e, slots, "mpmath", eps_sing)
         return fn(*(_to_mpf(values[s]) for s in slots))[0]
@@ -480,55 +464,45 @@ def is_zero(e: Expression, policy: ZeroTestPolicy = DEFAULT_POLICY) -> ZeroTestR
     slots = sample_slots(e)
     exact = not e.has_elementary()
     if exact:
-        fn = compile_evaluator(e, slots, "exact", _EPS_SING, _SAMPLE_DEN)
+        def shown_if_nonzero(pt):
+            value = _exact_value(e, pt, _SAMPLE_DEN, _EPS_SING)
+            return str(value) if value else None
     else:
         with mpmath.workdps(_DIGITS):
             fn = compile_evaluator(e, slots, "mpmath", _EPS_SING)
-    used = 0
-    rounds = policy.samples if not exact else 11 * policy.samples
-    for trial in range(rounds):
-        pt, value, scale = _sample_once(fn, rng, slots, exact)
-        used += 1
-        if exact:
-            if value != 0:
-                return ZeroTestResult(
-                    Certainty.NONZERO,
-                    1.0,
-                    witness=_witness(pt),
-                    witness_value=str(value),
-                    samples_used=used,
-                )
-        else:
-            if abs(value) > policy.tol * max(1, scale):
-                return ZeroTestResult(
-                    Certainty.NONZERO,
-                    1.0,
-                    witness=_witness(pt),
-                    witness_value=mpmath.nstr(value, 17),
-                    samples_used=used,
-                )
+
+        def shown_if_nonzero(pt):
+            with mpmath.workdps(_DIGITS):
+                value, scale = fn(*(mpmath.mpf(k) / _SAMPLE_DEN for k in pt.values()))
+            return mpmath.nstr(value, 17) if abs(value) > policy.tol * max(1, scale) else None
+    rounds = 11 * policy.samples if exact else policy.samples
+    for used in range(1, rounds + 1):
+        pt, shown = _sample_once(shown_if_nonzero, rng, slots)
+        if shown is not None:
+            return ZeroTestResult(
+                Certainty.NONZERO,
+                1.0,
+                witness=_witness(pt),
+                witness_value=shown,
+                samples_used=used,
+            )
     if exact:
         # Every draw hit the zero set, but a canonical form that is not ZERO
         # is a nonzero rational function: proved, only without a witness.
-        return ZeroTestResult(Certainty.PROVED_NONZERO, 1.0, samples_used=used)
+        return ZeroTestResult(Certainty.PROVED_NONZERO, 1.0, samples_used=rounds)
     return ZeroTestResult(
-        Certainty.PROBABLY_ZERO, _confidence(e, used), samples_used=used
+        Certainty.PROBABLY_ZERO, _confidence(e, rounds), samples_used=rounds
     )
 
 
-def _sample_once(fn, rng, slots, exact):
+def _sample_once(shown_if_nonzero, rng, slots):
     """Draw points until one clears the singularity guard, then evaluate."""
     for _ in range(_MAX_REDRAWS):
         pt = _draw_point(rng, slots)
         try:
-            if exact:
-                value, scale = fn(*pt.values())
-            else:
-                with mpmath.workdps(_DIGITS):
-                    value, scale = fn(*(mpmath.mpf(k) / _SAMPLE_DEN for k in pt.values()))
+            return pt, shown_if_nonzero(pt)
         except SingularPointError:
             continue
-        return pt, value, scale
     raise SamplingError(
         "all %d candidate points hit the singularity guard" % _MAX_REDRAWS
     )

@@ -1,8 +1,9 @@
 """The compiled evaluator against the reference tree walkers in helpers.
 
-The float backend must agree with the walker bit for bit, the exact and
-mpmath backends must return the same (value, scale) pairs, and a point the
-walker cannot evaluate must raise the same error class in both.
+The float backend must agree with the walker bit for bit, the mpmath
+backend must return the same (value, scale) pairs, the direct exact
+evaluation the same Fraction value, and a point the walker cannot evaluate
+must raise the same error class in both.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 import helpers  # noqa: E402
 from cinfstruct.charts import Chart  # noqa: E402
 from cinfstruct.errors import CinfstructError, EvaluationError  # noqa: E402
-from cinfstruct.zerotest import compile_evaluator  # noqa: E402
+from cinfstruct.zerotest import _exact_value, compile_evaluator  # noqa: E402
 
 CH = Chart("H", ("x", "u"))
 FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
@@ -108,11 +109,11 @@ def test_mpmath_backend_matches_the_walker_at_50_digits(text, x, u, eps):
     st.sampled_from([None, Fraction(1, 1000)]),
 )
 def test_exact_backend_matches_the_walker(text, kx, ku, q, eps):
-    # The exact backend takes each value v as the integer v * q.
+    # The exact evaluation takes each value v as the integer v * q.
     e = _parse(text)
-    fn = compile_evaluator(e, CH.coords, "exact", eps, q)
     want = _outcome(helpers.walk_scaled, e, {"x": Fraction(kx, q), "u": Fraction(ku, q)}, None, eps)
-    got = _outcome(fn, kx, ku)
-    assert got == want
-    if isinstance(got, tuple):
-        assert isinstance(got[0], Fraction)
+    got = _outcome(_exact_value, e, {"x": kx, "u": ku}, q, eps)
+    if isinstance(want, tuple):
+        assert isinstance(got, Fraction) and got == want[0]
+    else:
+        assert got == want

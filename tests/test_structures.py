@@ -67,13 +67,13 @@ def test_non_involutive_pair_is_refuted_with_witness():
 
 
 def test_independence_certificate_carries_the_rank(dim4):
-    cert = check_independent(dim4.chart, dim4.gens + dim4.fields)
+    cert = check_independent(dim4.gens + dim4.fields)
     assert cert.ok
     assert dict(cert.payload)["rank"] == 4
 
     X1 = dim4.fields[0]
     doubled = X1.scaled(kernel.const_expr(2), name="2X1")
-    dep = check_independent(dim4.chart, [X1, doubled])
+    dep = check_independent([X1, doubled])
     assert not dep.ok
     assert dict(dep.payload)["rank"] == 1
     # The certificate names the failing item: the row without a pivot is
@@ -108,7 +108,7 @@ def test_a_level_over_a_dependent_basis_decomposes_nothing(monkeypatch):
 def test_structure_independence_is_that_of_the_full_frame(name):
     sc = load_scenario(SCENARIOS / name)
     frame = list(sc.generators) + list(sc.structure_fields)
-    direct = check_independent(sc.chart, frame).as_json()
+    direct = check_independent(frame).as_json()
     structure = check_cinf_structure(sc.distribution, sc.structure_fields)
     assert structure.independence.as_json() == direct
     # With no fields on top, the generators alone make the frame.

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 import helpers
+from cinfstruct import zerotest
 from cinfstruct.certs import CheckItem
 from cinfstruct.charts import Chart, parse_rule
 from cinfstruct.errors import BadArgumentError, EvaluationError, SamplingError, SingularPointError
@@ -15,6 +16,7 @@ from cinfstruct.zerotest import (
     Point,
     ZeroTestPolicy,
     ZeroTestResult,
+    _exact_value,
     compile_evaluator,
     evaluate,
     is_zero,
@@ -182,7 +184,7 @@ def test_exact_nonzero_form_is_never_called_zero():
 def test_exact_backend_refuses_elementary_functions():
     e = CH.parse("exp(x1)")
     with pytest.raises(EvaluationError, match="numeric backend"):
-        compile_evaluator(e, CH.coords, "exact")(1, 1, 1, 1)
+        _exact_value(e, dict.fromkeys(CH.coords, 1), 1, None)
 
 
 def test_names_never_enter_the_source():
@@ -210,8 +212,8 @@ def test_jet_slots_evaluate_by_their_printed_name(airy):
     slots = sample_slots(e)
     assert "D(phi1, x, 1)" in slots and "phi2(x)" in slots
     values = {s: Fraction(k + 2, 3) for k, s in enumerate(slots)}
-    value, scale = compile_evaluator(e, slots, "exact", None, 3)(*range(2, len(slots) + 2))
-    assert (value, scale) == helpers.walk_scaled(e, values)
+    value = _exact_value(e, {s: k + 2 for k, s in enumerate(slots)}, 3, None)
+    assert value == helpers.walk_scaled(e, values)[0]
     assert evaluate(e, values) == value
     # Left out of the slots, a jet is abstract: an EvaluationError at call.
     fn = compile_evaluator(e, ch.coords)
@@ -229,8 +231,7 @@ def test_long_sums_compile_in_chunks():
     x, u = 0.9, -1.05
     assert compile_evaluator(e, ch.coords)(x, u).hex() == helpers.walk_float(e, {"x": x, "u": u}).hex()
     fr = (Fraction(9, 10), Fraction(-21, 20))
-    fn = compile_evaluator(e, ch.coords, "exact", None, 20)
-    assert fn(18, -21) == helpers.walk_scaled(e, dict(zip("xu", fr)))
+    assert _exact_value(e, {"x": 18, "u": -21}, 20, None) == helpers.walk_scaled(e, dict(zip("xu", fr)))[0]
 
 
 def test_weakest_ranks_the_kind_of_evidence_before_confidence():
@@ -247,8 +248,28 @@ def test_weakest_ranks_the_kind_of_evidence_before_confidence():
     assert weakest([sampled, low, proved]) is low
 
 
+def test_rational_zero_tests_and_evaluation_compile_nothing(monkeypatch, airy):
+    # Exact values are computed directly; only float backends compile.
+    def refuse(*_args, **_kw):
+        raise AssertionError("compiled a rational expression")
+
+    monkeypatch.setattr(zerotest, "compile_evaluator", refuse)
+    r = is_zero(CH.parse("x1*x2 - x3/(x4 + 1)"))
+    assert (r.certainty, r.samples_used) == (Certainty.NONZERO, 1)
+    assert repr(r.witness) == "{x1=17/16, x2=43/32, x3=-27/16, x4=1/16}"
+    assert r.witness_value == "26251/8704"
+    jet = airy.chart.parse("D(phi1, x)*phi2(x) - phi1(x)*D(phi2, x) + u1/(x + 2)")
+    r = is_zero(jet)
+    assert r.witness["u1"] == Fraction(15, 8) and r.witness_value == "153805/52736"
+    # The first draw puts x1 at 34/32, where the denominator vanishes.
+    r = is_zero(CH.parse("x2/(32*x1 - 34)"))
+    assert (r.certainty, r.samples_used) == (Certainty.NONZERO, 1)
+    assert repr(r.witness) == "{x1=-27/16, x2=1/16}" and r.witness_value == "-1/1408"
+    assert evaluate(CH.parse("x1^2/(x2 - 3)"), {"x1": Fraction(1, 3), "x2": 1}) == Fraction(-1, 18)
+
+
 def test_exact_evaluation_of_zero_and_constants():
     zero = CH.parse("x1 - x1")
     assert evaluate(zero, {}) == 0
-    assert compile_evaluator(zero, [], "exact", None, 32)() == (0, 1)
+    assert _exact_value(zero, {}, 32, None) == 0
     assert evaluate(CH.parse("1/(x1 - 3)"), {"x1": Fraction(1, 2)}) == Fraction(-2, 5)
