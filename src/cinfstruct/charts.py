@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import kernel, syntax
@@ -62,6 +63,11 @@ class Chart:
     def allowed(self) -> tuple[str, ...]:
         return self.coords + self.constants
 
+    @cached_property
+    def _names(self) -> frozenset:
+        """The allowed names as one set, built once per chart."""
+        return frozenset(self.allowed)
+
     def index(self, coord: str) -> int:
         try:
             return self.coords.index(coord)
@@ -71,10 +77,10 @@ class Chart:
     # -- expression operations, chart-aware -----------------------------------
 
     def parse(self, text: str) -> Expression:
-        return syntax.parse(text, allowed=self.allowed, rules=self.rules)
+        return syntax.parse(text, allowed=self._names, rules=self.rules)
 
     def validate(self, e: Expression) -> Expression:
-        bad = e.symbols() - set(self.allowed)
+        bad = e.symbols() - self._names
         if bad:
             raise UnknownSymbolError(
                 "expression uses %s, not symbols of chart %r"
@@ -146,5 +152,5 @@ def parse_rule(text: str, chart: Optional[Chart] = None) -> RewriteRule:
     allowed = {var}
     if chart is not None:
         allowed.update(chart.allowed)
-    rhs = syntax.parse(rhs_text, allowed=tuple(allowed), auto_apply_var=var)
+    rhs = syntax.parse(rhs_text, allowed=allowed, auto_apply_var=var)
     return RewriteRule(func, var, order, rhs, text=text.strip())

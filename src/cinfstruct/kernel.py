@@ -24,7 +24,14 @@ A :class:`Poly` is a primitive integer part (int coefficients with gcd 1)
 times a positive rational content kept as two ints, so no coefficient
 arithmetic runs on Fractions.  A product of primitive parts is primitive
 (Gauss's lemma), so a product takes no gcd; a sum takes one integer gcd, and
-the gcd memo is keyed by the primitive parts themselves.
+the gcd memo is keyed by the primitive parts themselves.  A monomial lists
+its generators in strictly ascending key order.  ``Poly.descending()`` sorts
+a Poly's monomials into descending graded-lex order once, and both
+``struct_key`` and the printer read that list.  An :class:`Expression` and
+a :class:`Gen` each hold their printed text in a ``_text`` slot, which
+``syntax`` fills on first use, so each canonical form is formatted once.
+The parser builds polynomial text with Poly arithmetic and wraps the result
+with :func:`from_poly`: a polynomial over 1 is already canonical.
 
 The gcd behind every canonical form is the heuristic integer gcd GCDHEU
 (Char, Geddes & Gonnet 1989): it evaluates the integer-coefficient inputs at
@@ -81,10 +88,11 @@ class Gen:
 
     ``_intern`` builds the one Gen of each key, so two generators are equal
     exactly when they are the same object: a Gen hashes and compares by
-    identity, and orders by key.
+    identity, and orders by key.  ``_text`` holds its printed form once
+    ``syntax.format_gen`` has built it.
     """
 
-    __slots__ = ("kind", "name", "args", "orders", "key")
+    __slots__ = ("kind", "name", "args", "orders", "key", "_text")
 
     def __init__(self, kind, name, args, orders, key):
         self.kind = kind
@@ -92,6 +100,7 @@ class Gen:
         self.args = args        # tuple[Expression, ...] for _APP/_ELEM, () for _SYM
         self.orders = orders    # tuple[int, ...] derivative multi-index (_APP only)
         self.key = key
+        self._text = None
 
     def __lt__(self, other):
         return self.key < other.key
@@ -134,7 +143,8 @@ def elem_gen(func: str, arg) -> Gen:
 
 
 # --------------------------------------------------------------------------
-# Monomials: sorted tuples of (generator, positive exponent) pairs.
+# Monomials: tuples of (generator, positive exponent) pairs in strictly
+# ascending generator-key order.  _mono_key and the printer read that order.
 
 _MONO_ONE: tuple = ()
 
@@ -202,25 +212,32 @@ class Poly:
     The zero polynomial has empty `terms` (and content 1).  A Poly is never
     mutated, so copies that differ only in content share one `terms` dict.
     ``rational_terms()`` reads the rational coefficients in `terms` order.
+    ``descending()`` sorts the monomials into descending graded-lex order
+    once per Poly; ``struct_key`` and the printer both read that list.
     """
 
-    __slots__ = ("terms", "cn", "cd", "_lead", "_skey")
+    __slots__ = ("terms", "cn", "cd", "_lead", "_desc", "_skey")
 
     def __init__(self, terms: dict, cn: int = 1, cd: int = 1, lead=None):
         self.terms = terms
         self.cn = cn
         self.cd = cd
         self._lead = lead  # leading monomial, found on first use
+        self._desc = None
         self._skey = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        if not c:
+        if isinstance(c, int):
+            n, d = c, 1
+        else:
+            c = Fraction(c)
+            n, d = c.numerator, c.denominator
+        if not n:
             return _POLY_ZERO
-        return Poly({_MONO_ONE: 1 if c > 0 else -1}, abs(c.numerator), c.denominator, _MONO_ONE)
+        return Poly({_MONO_ONE: 1 if n > 0 else -1}, abs(n), d, _MONO_ONE)
 
     @staticmethod
     def from_gen(g: Gen) -> "Poly":
@@ -275,9 +292,12 @@ class Poly:
         m = self._lead_mono()
         return m, self.coeff(m)
 
-    def sorted_terms(self):
-        """(monomial, Fraction coefficient) in descending graded-lex order."""
-        return [(m, self.coeff(m)) for m in sorted(self.terms, key=_mono_key, reverse=True)]
+    def descending(self) -> list:
+        """The monomials in descending graded-lex order, sorted once."""
+        order = self._desc
+        if order is None:
+            order = self._desc = sorted(self.terms, key=_mono_key, reverse=True)
+        return order
 
     def struct_key(self) -> tuple:
         """Per term in descending graded-lex order: the monomial's (gen key,
@@ -287,7 +307,7 @@ class Poly:
         if key is None:
             terms, cn, cd = self.terms, self.cn, self.cd
             rows = []
-            for m in sorted(terms, key=_mono_key, reverse=True):
+            for m in self.descending():
                 n = terms[m] * cn
                 g = math.gcd(n, cd)
                 rows.append((tuple((gen.key, e) for gen, e in m), n // g, cd // g))
@@ -348,6 +368,10 @@ class Poly:
         if cn == self.cn and cd == self.cd:
             return self
         return Poly(self.terms, cn, cd, self._lead)
+
+    def over(self, c: "Poly") -> "Poly":
+        """self / c for a nonzero constant c."""
+        return self._scaled(c.terms[_MONO_ONE] < 0, c.cd, c.cn)
 
     def __neg__(self) -> "Poly":
         return self._scaled(True, 1, 1)
@@ -489,7 +513,7 @@ def exact_div(p: Poly, d: Poly) -> Poly:
     if p.is_zero():
         return _POLY_ZERO
     if d.is_const():
-        return p._scaled(d.terms[_MONO_ONE] < 0, d.cd, d.cn)
+        return p.over(d)
     # The contents divide apart.  Gauss's lemma: a primitive divisor of a
     # primitive polynomial leaves a primitive quotient, so the integer
     # parts divide over Z.
@@ -903,7 +927,7 @@ def _canon_coprime(num: Poly, den: Poly):
     # by a monic-making rational instead lets huge fractions compound
     # across chained arithmetic.
     if den.is_const():
-        return num._scaled(den.terms[_MONO_ONE] < 0, den.cd, den.cn), _POLY_ONE
+        return num.over(den), _POLY_ONE
     neg = den.terms[den._lead_mono()] < 0
     return num._scaled(neg, den.cd, den.cn), _normalize_primitive(den)
 
@@ -937,9 +961,13 @@ _Scalar = Union[int, Fraction]
 
 
 class Expression:
-    """Immutable canonical rational function of opaque generators."""
+    """Immutable canonical rational function of opaque generators.
 
-    __slots__ = ("num", "den", "_key", "_hash", "_complexity")
+    ``_text`` holds the printed form once ``syntax.format_expression`` has
+    built it.
+    """
+
+    __slots__ = ("num", "den", "_key", "_hash", "_complexity", "_text")
 
     def __init__(self, num: Poly, den: Poly = _POLY_ONE, _raw: bool = False):
         if not _raw:
@@ -949,6 +977,7 @@ class Expression:
         self._key = None
         self._hash = None
         self._complexity = None
+        self._text = None
 
     # -- identity ----------------------------------------------------------
 
@@ -1128,6 +1157,11 @@ def sym(name: str) -> Expression:
 
 def from_gen(g: Gen) -> Expression:
     return Expression(Poly.from_gen(g), _POLY_ONE, _raw=True)
+
+
+def from_poly(p: Poly) -> Expression:
+    """p over 1, which is canonical as it stands."""
+    return Expression(p, _POLY_ONE, _raw=True)
 
 
 # --------------------------------------------------------------------------

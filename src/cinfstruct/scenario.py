@@ -84,7 +84,8 @@ def _want(data, key, types, where, default=None, required=False):
             raise ScenarioError("%s is missing the %r key" % (where, key))
         return default
     value = data[key]
-    if not isinstance(value, types):
+    # A JSON true or false is a bool, which Python also counts as an int.
+    if not isinstance(value, types) or (isinstance(value, bool) and types is int):
         raise ScenarioError(
             "%s key %r should be %s, got %s"
             % (where, key, _type_names(types), type(value).__name__)

@@ -23,9 +23,11 @@ from cinfstruct.calculus import KForm, VectorField, interior_product, volume_for
 from cinfstruct.charts import Chart, parse_rule
 from cinfstruct.errors import (
     EvaluationError,
+    ExpressionSyntaxError,
     RewriteError,
     SingularExpressionError,
     SingularPointError,
+    UnknownSymbolError,
 )
 
 
@@ -484,3 +486,214 @@ def _diff_gen_reference(g, var, rules):
         "sqrt": lambda: kernel.const_expr(_HALF) / kernel.from_gen(g),
     }[g.name]()
     return outer * darg[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference parser and printer: syntax.parse and syntax.format_expression as
+# they were before the parser kept polynomials as Polys and the printer
+# cached its text.  Every token and every operator builds a canonical
+# Expression through the kernel's operators, and every call prints afresh
+# from Fraction coefficients with each monomial's generators sorted again.
+# The tokenizer is the package's own.
+
+_NUM, _NAME, _OP, _END = syntax._NUM, syntax._NAME, syntax._OP, syntax._END
+
+
+class _ReferenceParser:
+    def __init__(self, text, allowed, rules, auto_apply_var):
+        self.text = text
+        self.toks = syntax._tokenize(text)
+        self.pos = 0
+        self.allowed = allowed
+        self.rules = tuple(rules)
+        self.auto_apply_var = auto_apply_var
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, value):
+        kind, val, at = self.next()
+        if kind != _OP or val != value:
+            raise ExpressionSyntaxError("expected %r at position %d in %r" % (value, at, self.text))
+
+    def parse_expr(self):
+        e = self.parse_term()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == _OP and val in "+-":
+                self.next()
+                rhs = self.parse_term()
+                e = e + rhs if val == "+" else e - rhs
+            else:
+                return e
+
+    def parse_term(self):
+        e = self.parse_unary()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == _OP and val in "*/":
+                self.next()
+                rhs = self.parse_unary()
+                e = e * rhs if val == "*" else e / rhs
+            else:
+                return e
+
+    def parse_unary(self):
+        kind, val, _ = self.peek()
+        if kind == _OP and val == "-":
+            self.next()
+            return -self.parse_unary()
+        return self.parse_power()
+
+    def parse_power(self):
+        base = self.parse_atom()
+        kind, val, _ = self.peek()
+        if kind == _OP and val == "^":
+            self.next()
+            return base ** self.parse_int_exponent()
+        return base
+
+    def parse_int_exponent(self):
+        kind, val, _ = self.peek()
+        paren = kind == _OP and val == "("
+        if paren:
+            self.next()
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == _OP and val == "-":
+            self.next()
+            sign = -1
+        kind, val, at = self.next()
+        if kind != _NUM or "." in val:
+            raise ExpressionSyntaxError("expected integer exponent at position %d" % at)
+        if paren:
+            self.expect(")")
+        return sign * int(val)
+
+    def parse_int_literal(self):
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == _OP and val == "-":
+            self.next()
+            sign = -1
+        kind, val, at = self.next()
+        if kind != _NUM or "." in val:
+            raise ExpressionSyntaxError("expected integer at position %d" % at)
+        return sign * int(val)
+
+    def parse_atom(self):
+        kind, val, at = self.next()
+        if kind == _NUM:
+            return kernel.const_expr(Fraction(val))
+        if kind == _OP and val == "(":
+            e = self.parse_expr()
+            self.expect(")")
+            return e
+        if kind == _NAME:
+            nk, nv, _ = self.peek()
+            if nk == _OP and nv == "(":
+                self.next()
+                if val == "D":
+                    return self.parse_derivative_node()
+                args = [self.parse_expr()]
+                while True:
+                    k2, v2, _ = self.peek()
+                    if k2 == _OP and v2 == ",":
+                        self.next()
+                        args.append(self.parse_expr())
+                    else:
+                        break
+                self.expect(")")
+                if val in kernel.ELEMENTARY_FUNCTIONS:
+                    if len(args) != 1:
+                        raise ExpressionSyntaxError("%s takes exactly one argument" % val)
+                    return kernel.elem(val, args[0])
+                return kernel.app(val, tuple(args), (0,) * len(args), self.rules)
+            return self.symbol(val, at)
+        raise ExpressionSyntaxError("unexpected token %r at position %d in %r" % (val, at, self.text))
+
+    def parse_derivative_node(self):
+        kind, fname, at = self.next()
+        if kind != _NAME:
+            raise ExpressionSyntaxError("D(...) needs a function name (position %d)" % at)
+        if fname in kernel.ELEMENTARY_FUNCTIONS:
+            raise ExpressionSyntaxError("D(...) is for abstract functions, not %r" % fname)
+        self.expect(",")
+        arg = self.parse_expr()
+        order = 1
+        kind, val, _ = self.peek()
+        if kind == _OP and val == ",":
+            self.next()
+            order = self.parse_int_literal()
+            if order < 0:
+                raise ExpressionSyntaxError("derivative order must be nonnegative")
+        self.expect(")")
+        return kernel.app(fname, (arg,), (order,), self.rules)
+
+    def symbol(self, name, at):
+        if self.allowed is None or name in self.allowed:
+            return kernel.sym(name)
+        if self.auto_apply_var is not None:
+            return kernel.app(name, (kernel.sym(self.auto_apply_var),), (0,), self.rules)
+        raise UnknownSymbolError("unknown symbol %r at position %d in %r" % (name, at, self.text))
+
+
+def parse_reference(text, allowed=None, rules=(), auto_apply_var=None):
+    """Text into a canonical Expression, one Expression per token."""
+    p = _ReferenceParser(text, None if allowed is None else set(allowed), rules, auto_apply_var)
+    e = p.parse_expr()
+    kind, val, at = p.peek()
+    if kind != _END:
+        raise ExpressionSyntaxError("trailing input %r at position %d in %r" % (val, at, text))
+    return e
+
+
+def format_gen_reference(g):
+    if g.kind == kernel.SYM_KIND:
+        return g.name
+    if g.kind == kernel.ELEM_KIND:
+        return "%s(%s)" % (g.name, format_expression_reference(g.args[0]))
+    total = sum(g.orders)
+    args = ", ".join(format_expression_reference(a) for a in g.args)
+    if total == 0:
+        return "%s(%s)" % (g.name, args)
+    return "D(%s, %s, %d)" % (g.name, args, total)
+
+
+def _format_mono_reference(m, coeff):
+    if not m:
+        return str(abs(coeff))
+    parts = []
+    ac = abs(coeff)
+    if ac != 1:
+        parts.append(str(ac))
+    for g, e in sorted(m, key=lambda t: t[0].key):
+        s = format_gen_reference(g)
+        parts.append(s if e == 1 else "%s^%d" % (s, e))
+    return "*".join(parts)
+
+
+def format_poly_reference(p):
+    if p.is_zero():
+        return "0"
+    pieces = []
+    ordered = sorted(p.terms, key=kernel._mono_key, reverse=True)
+    for i, m in enumerate(ordered):
+        c = p.coeff(m)
+        body = _format_mono_reference(m, c)
+        if i == 0:
+            pieces.append("-" + body if c < 0 else body)
+        else:
+            pieces.append((" - " if c < 0 else " + ") + body)
+    return "".join(pieces)
+
+
+def format_expression_reference(e):
+    if e.den.is_one():
+        return format_poly_reference(e.num)
+    return "(%s)/(%s)" % (format_poly_reference(e.num), format_poly_reference(e.den))

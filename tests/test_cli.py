@@ -396,6 +396,15 @@ def test_a_structure_refuted_by_its_involutivity_names_the_failing_check(capsys,
     ]
 
 
+@pytest.mark.parametrize("expr", ["x1*\u00b2", "2\u00b2", "\u0661\u0662"])
+def test_a_non_ascii_digit_is_an_input_error(capsys, expr):
+    argv = ["verify", "factor", EX31, "--level", "1", "--kind", "symmetrizing", "--expr", expr]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unexpected character ")
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -145,7 +145,11 @@ def test_multi_argument_jets_refuse_differentiation():
 
 @pytest.mark.parametrize(
     "text",
-    ["x1 +", "(x1 + x2", "x1 $ 3", "D(F)", "2x1", "", "^2", "x1 * * x2"],
+    [
+        "x1 +", "(x1 + x2", "x1 $ 3", "D(F)", "2x1", "", "^2", "x1 * * x2",
+        # Only ASCII 0-9 are digits: str.isdigit also takes these.
+        "x1*\u00b2", "2\u00b2", "x^\u00b2", "\u0661\u0662",
+    ],
 )
 def test_malformed_input_is_a_syntax_error(text):
     with pytest.raises(ExpressionSyntaxError):

@@ -176,7 +176,7 @@ def test_contents_and_signs_in_a_worked_case():
     # the denominator keeps the integer part with a positive leading term.
     e = CH.parse("(3/4*x - 3/2*y)/(-2/3*x*y)")
     assert e.num.struct_key() == helpers.struct_key_reference(e.num)
-    assert [c for _, c in e.num.sorted_terms()] == [Fraction(9, 4), Fraction(-9, 8)]
+    assert [e.num.coeff(m) for m in e.num.descending()] == [Fraction(9, 4), Fraction(-9, 8)]
     assert sorted(e.num.terms.values()) == [-1, 2]
     assert (e.num.cn, e.num.cd) == (9, 8)
     assert (e.den.cn, e.den.cd) == (1, 1) and list(e.den.terms.values()) == [1]

@@ -128,6 +128,16 @@ def test_reduction_levels_must_be_contiguous():
         build_scenario(doc)
 
 
+def test_a_json_boolean_is_not_a_level():
+    # JSON true is a Python bool, and bool is a subclass of int.
+    doc = json.loads((SCENARIOS / "example31.json").read_text())
+    doc["reduction"][-1]["level"] = True
+    with pytest.raises(
+        ScenarioError, match="reduction entry 2 key 'level' should be int, got bool"
+    ):
+        build_scenario(doc)
+
+
 def test_parametrization_must_be_a_graph():
     doc = minimal()
     doc["reduction"] = [
